@@ -13,7 +13,7 @@ Nine sweeps over the scheduling hot path:
   :class:`~repro.monitoring.aggregate.WindowedAggregateCache`;
 * **event_sched** — whole trace replays, the paper's periodic
   scheduling loop versus the event-driven trigger mode
-  (``ReplayConfig(event_driven=True)``): scheduling passes executed,
+  (``Scenario(event_driven=True)``): scheduling passes executed,
   wall-clock, and a bit-for-bit equivalence check of every pod's
   lifecycle timestamps, at 250–2000 pods;
 * **sched_scale** — the placement loop *inside* one pass: a pending
@@ -419,7 +419,7 @@ API_SWEEP_GRID = {
 
 def run_api_sweep(
     workers=API_SWEEP_WORKERS,
-    trace_jobs=API_SWEEP_TRACE_JOBS,
+    jobs=API_SWEEP_TRACE_JOBS,
     grid=None,
 ) -> dict:
     """Serial vs parallel execution of one scenario sweep.
@@ -429,11 +429,11 @@ def run_api_sweep(
     per-row ``parallel_identical`` flag: every scenario's pool-worker
     result must be bit-for-bit identical to the serial one.
     """
-    cluster_workers = max(2, trace_jobs // 125)
+    cluster_workers = max(2, jobs // 125)
     base = Scenario(
         trace=(
-            f"borg-synth:seed=7,jobs={trace_jobs},"
-            f"overallocators={max(1, trace_jobs // 10)}"
+            f"borg-synth:seed=7,jobs={jobs},"
+            f"overallocators={max(1, jobs // 10)}"
         ),
         seed=1,
         standard_workers=cluster_workers,

@@ -8,7 +8,8 @@
 """
 
 from conftest import run_once
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.api import Scenario
+from repro.simulation.runner import run_replay
 from repro.units import fmt_duration
 
 
@@ -28,13 +29,13 @@ def test_ablation_measured_vs_declared(benchmark, trace):
     """Measured-usage scheduling vs the declared-only baseline."""
 
     def run():
-        measured = replay_trace(
+        measured = run_replay(
             trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+            Scenario(scheduler="binpack", sgx_fraction=1.0, seed=1),
         )
-        declared = replay_trace(
+        declared = run_replay(
             trace,
-            ReplayConfig(
+            Scenario(
                 scheduler="kube-default", sgx_fraction=1.0, seed=1
             ),
         )
@@ -52,13 +53,13 @@ def test_ablation_sgx_nodes_last(benchmark, trace):
     """Preserving SGX nodes for SGX jobs in a mixed workload."""
 
     def run():
-        preserved = replay_trace(
+        preserved = run_replay(
             trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=0.5, seed=1),
+            Scenario(scheduler="binpack", sgx_fraction=0.5, seed=1),
         )
-        mixed = replay_trace(
+        mixed = run_replay(
             trace,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=0.5,
                 seed=1,
@@ -86,13 +87,13 @@ def test_ablation_strict_fcfs(benchmark, trace):
     """Kubernetes-like skipping vs strict head-of-line blocking."""
 
     def run():
-        skip = replay_trace(
+        skip = run_replay(
             trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+            Scenario(scheduler="binpack", sgx_fraction=1.0, seed=1),
         )
-        strict = replay_trace(
+        strict = run_replay(
             trace,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,

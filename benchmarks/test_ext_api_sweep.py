@@ -13,7 +13,7 @@ class TestApiSweepBench:
     def test_tiny_sweep_runs(self):
         report = run_api_sweep(
             workers=2,
-            trace_jobs=40,
+            jobs=40,
             grid={
                 "scheduler": ("binpack",),
                 "sgx_fraction": (0.0, 0.5),

@@ -6,7 +6,8 @@ over-committed paging time it claws back, at what migration cost.
 """
 
 from conftest import run_once
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.api import Scenario
+from repro.simulation.runner import run_replay
 
 
 def paging_excess_seconds(result) -> float:
@@ -19,13 +20,13 @@ def paging_excess_seconds(result) -> float:
 
 def test_ext_rebalancer_replay(benchmark, trace):
     def run():
-        base = replay_trace(
+        base = run_replay(
             trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+            Scenario(scheduler="binpack", sgx_fraction=1.0, seed=1),
         )
-        rebalanced = replay_trace(
+        rebalanced = run_replay(
             trace,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,

@@ -1,17 +1,21 @@
 """Registry rule REG001: factory conformance and duplicate names.
 
-The PR 4 registries (`SCHEDULERS`, `WORKLOADS`, `PREEMPTION_POLICIES`)
-fail fast on duplicate registration — but only when both modules are
-imported in the same process, and a factory whose signature silently
-drops ``seed=`` or ``sgx_fraction=`` fails much later, mid-sweep.
-This rule checks both at lint time, across modules that never import
-each other.
+The registries (``SCHEDULERS``, ``WORKLOADS``, ``PREEMPTION_POLICIES``,
+``TRACES``, ``CELLS``) fail fast on duplicate registration — but only
+when both modules are imported in the same process, and a factory
+whose signature silently drops ``seed=`` or ``sgx_fraction=`` fails
+much later, mid-sweep.  This rule checks both at lint time, across
+modules that never import each other.  Each registration decorator
+carries its own call contract
+(:attr:`~repro.analysis.config.CheckConfig.registry_decorators`): a
+trace adapter is judged by the resolver's ``spec``/``seed`` keywords,
+a cell policy by the partitioner's ``nodes``/``cells``/``seed``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..base import ProjectCheck, register_check
 from ..config import CheckConfig

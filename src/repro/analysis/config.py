@@ -82,7 +82,6 @@ class CheckConfig:
     #: Flag dest -> scenario field, where the names differ.
     cli_field_aliases: Dict[str, str] = field(
         default_factory=lambda: {
-            "jobs": "trace_jobs",
             "epc_mib": "epc_total_bytes",
             "indexed": "indexed_scheduling",
             "no_state_cache": "use_state_cache",
@@ -91,9 +90,12 @@ class CheckConfig:
         }
     )
     #: Flags that deliberately have no scenario field (output shape,
-    #: pool sizing); extending the CLI with a new non-scenario flag
-    #: means reviewing it onto this list.
-    cli_only_flags: FrozenSet[str] = _frozen("json",)
+    #: the ``--trace-seed``/``--jobs`` shorthands the CLI folds into a
+    #: ``borg-synth`` trace spec); extending the CLI with a new
+    #: non-scenario flag means reviewing it onto this list.
+    cli_only_flags: FrozenSet[str] = _frozen(
+        "json", "trace_seed", "jobs"
+    )
 
     #: REG001: registration decorators and the keywords each factory
     #: must accept (directly or via ``**options``).  Positional minima
@@ -111,20 +113,13 @@ class CheckConfig:
                 2,
             ),
             "register_preemption_policy": ((), 0),
+            # repro.trace.adapters.resolve_trace: factory(spec=, seed=)
+            "register_trace": (("spec", "seed"), 0),
+            # repro.cells.policies.partition_nodes:
+            # factory(nodes=, cells=, seed=)
+            "register_cell_policy": (("nodes", "cells", "seed"), 0),
         }
     )
-
-    #: TRACE001: the trace-adapter registration decorator and the
-    #: keywords :func:`repro.trace.adapters.resolve_trace` calls every
-    #: factory with (``factory(spec=..., seed=...)``).
-    trace_decorator: str = "register_trace"
-    trace_factory_keywords: Tuple[str, ...] = ("spec", "seed")
-
-    #: CELL001: the cell-policy registration decorator and the keywords
-    #: :func:`repro.cells.policies.partition_nodes` calls every factory
-    #: with (``factory(nodes=..., cells=..., seed=...)``).
-    cell_decorator: str = "register_cell_policy"
-    cell_factory_keywords: Tuple[str, ...] = ("nodes", "cells", "seed")
 
     #: OBS001: the module holding the frozen ``repro.ledger/v1`` schema
     #: table and the table's name.  Every ``<ledger>.emit(now, kind,

@@ -191,19 +191,27 @@ def _encode_record(record: Dict[str, object]) -> str:
     return _ENCODERS[record["kind"]](record)
 
 
+#: Scenario fields left out of the ledger header's config signature.
+#: ``observe`` — two runs must not diff as divergent because one wrote
+#: its ledger to a different path; ``name`` — a display label;
+#: ``trace`` — the replayed trace is whatever the engine was handed,
+#: and an explicit :class:`~repro.trace.schema.Trace`'s ``repr`` would
+#: bloat every header.
+_UNSIGNED_FIELDS = frozenset({"observe", "name", "trace"})
+
+
 def config_signature(config) -> Dict[str, object]:
-    """A primitive snapshot of a replay/scenario config dataclass.
+    """A primitive snapshot of a scenario's engine knobs.
 
     Primitive fields pass through; structured ones (option tuples,
     failure schedules, malicious configs) are captured as their
-    deterministic ``repr``.  The ``observe`` field itself is skipped —
-    two runs must not diff as divergent because one wrote its ledger
-    to a different path.
+    deterministic ``repr``.  The fields in :data:`_UNSIGNED_FIELDS`
+    are skipped.
     """
     signature: Dict[str, object] = {}
     for config_field in dataclasses.fields(config):
         name = config_field.name
-        if name == "observe":
+        if name in _UNSIGNED_FIELDS:
             continue
         value = getattr(config, name)
         if value is None or isinstance(value, (str, int, float, bool)):
@@ -217,10 +225,9 @@ def config_signature(config) -> Dict[str, object]:
 class ObserveConfig:
     """What one observed run should export, and where.
 
-    Hashable and picklable (it rides on the frozen ``ReplayConfig`` /
-    ``Scenario``); any ``None`` path disables that exporter, and with
-    all three unset the replay keeps the null observer — the
-    allocation-free disabled path.
+    Hashable and picklable (it rides on the frozen ``Scenario``); any
+    ``None`` path disables that exporter, and with all three unset the
+    replay keeps the null observer — the allocation-free disabled path.
     """
 
     #: JSONL decision-ledger output (``repro.ledger/v1``).

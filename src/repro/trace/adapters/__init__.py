@@ -25,7 +25,7 @@ built-ins use::
 
 Adapters are called as ``factory(spec=TraceSpec, seed=int)`` where
 ``seed`` is the spec's ``seed`` option resolved against
-``DEFAULT_TRACE_SEED`` — the TRACE001 static-analysis rule holds
+``DEFAULT_TRACE_SEED`` — the REG001 static-analysis rule holds
 registered factories to that signature.
 """
 

@@ -1,8 +1,7 @@
 """Borg-shaped trace adapters: the paper's own workload, as specs.
 
 ``borg-synth`` is the calibrated synthetic generator behind every
-figure (bit-for-bit identical to the deprecated
-``Scenario(trace_seed=..., trace_jobs=...)`` knobs it replaces);
+figure (``Scenario(trace="borg-synth:seed=7,jobs=500")``);
 ``borg-csv`` replays a prepared four-metric CSV — the shape
 :func:`repro.trace.loader.load_borg_csv` documents — streamed through
 the shared windowing/downsampling pipeline.

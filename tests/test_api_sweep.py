@@ -1,7 +1,6 @@
-"""``Sweep``: grid expansion and serial/parallel/legacy equivalence."""
+"""``Sweep``: grid expansion and serial/parallel/engine equivalence."""
 
 import json
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.api import SWEEP_SCHEMA, Scenario, Sweep, expand_grid
 from repro.errors import SimulationError
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
 
 
@@ -172,7 +171,7 @@ class TestSweepExecution:
 
 
 class TestEquivalenceSeeded:
-    """Hypothesis-seeded: parallel sweep == serial == legacy shim."""
+    """Hypothesis-seeded: parallel sweep == serial == direct engine."""
 
     @settings(
         max_examples=5,
@@ -180,16 +179,16 @@ class TestEquivalenceSeeded:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        trace_seed=st.integers(min_value=0, max_value=2**16),
+        gen_seed=st.integers(min_value=0, max_value=2**16),
         run_seed=st.integers(min_value=0, max_value=2**16),
         sgx_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
         scheduler=st.sampled_from(["binpack", "spread", "kube-default"]),
     )
     def test_three_ways_bit_for_bit(
-        self, trace_seed, run_seed, sgx_fraction, scheduler
+        self, gen_seed, run_seed, sgx_fraction, scheduler
     ):
         trace = synthetic_scaled_trace(
-            seed=trace_seed, n_jobs=12, overallocators=1
+            seed=gen_seed, n_jobs=12, overallocators=1
         )
         base = Scenario(
             trace=trace,
@@ -204,18 +203,16 @@ class TestEquivalenceSeeded:
         parallel = sweep.run(workers=4)
         assert serial.signatures() == parallel.signatures()
 
-        # The legacy shim replays the identical experiment.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = replay_trace(
-                trace,
-                ReplayConfig(
-                    scheduler=scheduler,
-                    sgx_fraction=sgx_fraction,
-                    seed=run_seed,
-                ),
-            )
-        legacy_signature = tuple(
+        # The engine driven directly replays the identical experiment.
+        direct = run_replay(
+            trace,
+            Scenario(
+                scheduler=scheduler,
+                sgx_fraction=sgx_fraction,
+                seed=run_seed,
+            ),
+        )
+        direct_signature = tuple(
             (
                 pod.name,
                 pod.phase.value,
@@ -225,13 +222,13 @@ class TestEquivalenceSeeded:
                 pod.finished_at,
                 pod.node_name,
             )
-            for pod in legacy.metrics.pods
+            for pod in direct.metrics.pods
         )
         periodic = serial[0]
-        assert periodic.pod_signature() == legacy_signature
+        assert periodic.pod_signature() == direct_signature
         assert (
             periodic.metrics.makespan_seconds
-            == legacy.metrics.makespan_seconds
+            == direct.metrics.makespan_seconds
         )
         # Event-driven composes with the sweep and stays equivalent.
         event_driven = serial[1]

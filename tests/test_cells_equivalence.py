@@ -22,10 +22,10 @@ replay_settings = settings(
 )
 
 
-def bursty_trace(trace_seed, n_jobs):
+def bursty_trace(gen_seed, n_jobs):
     """A short-window trace: the queue backs up, so routing matters."""
     return synthetic_scaled_trace(
-        seed=trace_seed,
+        seed=gen_seed,
         n_jobs=n_jobs,
         overallocators=max(1, n_jobs // 10),
         window_seconds=120.0,
@@ -33,7 +33,7 @@ def bursty_trace(trace_seed, n_jobs):
 
 
 @given(
-    trace_seed=st.integers(min_value=0, max_value=1_000),
+    gen_seed=st.integers(min_value=0, max_value=1_000),
     seed=st.integers(min_value=0, max_value=1_000),
     n_jobs=st.integers(min_value=10, max_value=40),
     sgx_fraction=st.sampled_from([0.0, 0.5, 1.0]),
@@ -41,9 +41,9 @@ def bursty_trace(trace_seed, n_jobs):
 )
 @replay_settings
 def test_one_cell_is_bit_for_bit_the_oracle(
-    trace_seed, seed, n_jobs, sgx_fraction, policy
+    gen_seed, seed, n_jobs, sgx_fraction, policy
 ):
-    trace = bursty_trace(trace_seed, n_jobs)
+    trace = bursty_trace(gen_seed, n_jobs)
     flat = Scenario(
         trace=trace, sgx_fraction=sgx_fraction, seed=seed
     )
@@ -61,7 +61,7 @@ def test_one_cell_is_bit_for_bit_the_oracle(
 
 
 @given(
-    trace_seed=st.integers(min_value=0, max_value=1_000),
+    gen_seed=st.integers(min_value=0, max_value=1_000),
     seed=st.integers(min_value=0, max_value=1_000),
     n_jobs=st.integers(min_value=10, max_value=40),
     cells=st.integers(min_value=2, max_value=4),
@@ -69,10 +69,10 @@ def test_one_cell_is_bit_for_bit_the_oracle(
 )
 @replay_settings
 def test_multi_cell_is_deterministic_and_completes(
-    trace_seed, seed, n_jobs, cells, policy
+    gen_seed, seed, n_jobs, cells, policy
 ):
     scenario = Scenario(
-        trace=bursty_trace(trace_seed, n_jobs),
+        trace=bursty_trace(gen_seed, n_jobs),
         sgx_fraction=0.5,
         seed=seed,
         cells=cells,
@@ -88,13 +88,13 @@ def test_multi_cell_is_deterministic_and_completes(
 
 
 @given(
-    trace_seed=st.integers(min_value=0, max_value=500),
+    gen_seed=st.integers(min_value=0, max_value=500),
     seed=st.integers(min_value=0, max_value=500),
 )
 @replay_settings
-def test_multi_cell_engine_toggles_are_deterministic(trace_seed, seed):
+def test_multi_cell_engine_toggles_are_deterministic(gen_seed, seed):
     base = Scenario(
-        trace=bursty_trace(trace_seed, 25),
+        trace=bursty_trace(gen_seed, 25),
         sgx_fraction=0.5,
         seed=seed,
         cells=3,

@@ -8,11 +8,12 @@ makespan and turnaround distribution — while executing far fewer passes.
 
 import pytest
 
+from repro.api import Scenario
 from repro.errors import EpcExhaustedError
 from repro.orchestrator.api import PodPhase
 from repro.sgx.migration import MigrationManager
 from repro.simulation.events import EventKind
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import mib
 
@@ -73,12 +74,12 @@ class TestEquivalence:
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
     )
     def test_bit_for_bit_with_fewer_passes(self, small_trace, kwargs):
-        periodic = replay_trace(
-            small_trace, ReplayConfig(scheduler="binpack", **kwargs)
+        periodic = run_replay(
+            small_trace, Scenario(scheduler="binpack", **kwargs)
         )
-        event = replay_trace(
+        event = run_replay(
             small_trace,
-            ReplayConfig(scheduler="binpack", event_driven=True, **kwargs),
+            Scenario(scheduler="binpack", event_driven=True, **kwargs),
         )
         assert pod_signature(event) == pod_signature(periodic)
         assert (
@@ -98,12 +99,12 @@ class TestEquivalence:
 
     def test_saturated_queue_equivalence(self, saturated_trace):
         kwargs = dict(sgx_fraction=1.0, seed=1, epc_total_bytes=mib(64))
-        periodic = replay_trace(
-            saturated_trace, ReplayConfig(scheduler="binpack", **kwargs)
+        periodic = run_replay(
+            saturated_trace, Scenario(scheduler="binpack", **kwargs)
         )
-        event = replay_trace(
+        event = run_replay(
             saturated_trace,
-            ReplayConfig(scheduler="binpack", event_driven=True, **kwargs),
+            Scenario(scheduler="binpack", event_driven=True, **kwargs),
         )
         assert pod_signature(event) == pod_signature(periodic)
         assert event.passes_executed < periodic.passes_executed
@@ -114,38 +115,38 @@ class TestEquivalence:
 
     def test_spread_scheduler_equivalence(self, small_trace):
         kwargs = dict(scheduler="spread", sgx_fraction=0.5, seed=4)
-        periodic = replay_trace(small_trace, ReplayConfig(**kwargs))
-        event = replay_trace(
-            small_trace, ReplayConfig(event_driven=True, **kwargs)
+        periodic = run_replay(small_trace, Scenario(**kwargs))
+        event = run_replay(
+            small_trace, Scenario(event_driven=True, **kwargs)
         )
         assert pod_signature(event) == pod_signature(periodic)
 
     def test_periodic_mode_logs_no_skips(self, small_trace):
-        result = replay_trace(
+        result = run_replay(
             small_trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=0.5, seed=1),
+            Scenario(scheduler="binpack", sgx_fraction=0.5, seed=1),
         )
         assert result.passes_skipped == 0
         assert result.log.of_kind(EventKind.PASS_SKIPPED) == []
 
     def test_event_mode_is_deterministic(self, small_trace):
-        config = ReplayConfig(
+        config = Scenario(
             scheduler="binpack",
             sgx_fraction=1.0,
             seed=5,
             event_driven=True,
         )
-        a = replay_trace(small_trace, config)
-        b = replay_trace(small_trace, config)
+        a = run_replay(small_trace, config)
+        b = run_replay(small_trace, config)
         assert pod_signature(a) == pod_signature(b)
         assert a.passes_executed == b.passes_executed
 
 
 class TestTriggerAccounting:
     def test_events_coalesce_into_fewer_passes(self, small_trace):
-        result = replay_trace(
+        result = run_replay(
             small_trace,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
@@ -180,9 +181,9 @@ class TestFailedMigrationInReplay:
             return real_restore(self, driver, pid, checkpoint, key, aesm)
 
         monkeypatch.setattr(MigrationManager, "restore", flaky_restore)
-        result = replay_trace(
+        result = run_replay(
             saturated_trace,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,

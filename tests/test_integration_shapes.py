@@ -8,8 +8,9 @@ what the paper's conclusions rest on.
 
 import pytest
 
+from repro.api import Scenario
 from repro.experiments.common import default_trace
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.simulation.runner import run_replay
 from repro.units import mib
 from repro.workload.malicious import MaliciousConfig
 
@@ -25,7 +26,7 @@ def trace():
 def runs(trace):
     """The replays shared across assertions (computed once)."""
     def run(**kwargs):
-        return replay_trace(trace, ReplayConfig(seed=1, **kwargs))
+        return run_replay(trace, Scenario(seed=1, **kwargs))
 
     return {
         "std": run(scheduler="binpack", sgx_fraction=0.0),
@@ -79,9 +80,9 @@ class TestFig7Shapes:
     def makespans(self, trace):
         spans = {}
         for size in (32, 64, 128, 256):
-            result = replay_trace(
+            result = run_replay(
                 trace,
-                ReplayConfig(
+                Scenario(
                     scheduler="binpack",
                     sgx_fraction=1.0,
                     seed=1,
@@ -117,9 +118,9 @@ class TestFig11Shapes:
                 if occupancy
                 else None
             )
-            return replay_trace(
+            return run_replay(
                 trace,
-                ReplayConfig(
+                Scenario(
                     scheduler="binpack",
                     sgx_fraction=0.5,
                     seed=1,
@@ -170,13 +171,13 @@ class TestMeasuredVsDeclaredAblation:
         measured scheduler re-packs from live probe data and turns the
         reclaimed capacity into shorter queues and an earlier finish.
         """
-        measured = replay_trace(
+        measured = run_replay(
             trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+            Scenario(scheduler="binpack", sgx_fraction=1.0, seed=1),
         )
-        declared = replay_trace(
+        declared = run_replay(
             trace,
-            ReplayConfig(
+            Scenario(
                 scheduler="kube-default", sgx_fraction=1.0, seed=1
             ),
         )

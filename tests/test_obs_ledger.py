@@ -19,6 +19,7 @@ traces:
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -44,9 +45,9 @@ replay_settings = settings(
 )
 
 
-def bursty_trace(trace_seed, n_jobs):
+def bursty_trace(gen_seed, n_jobs):
     return synthetic_scaled_trace(
-        seed=trace_seed,
+        seed=gen_seed,
         n_jobs=n_jobs,
         overallocators=max(1, n_jobs // 10),
         window_seconds=120.0,
@@ -64,7 +65,7 @@ def record(scenario, directory, name):
 
 
 @given(
-    trace_seed=st.integers(min_value=0, max_value=1_000),
+    gen_seed=st.integers(min_value=0, max_value=1_000),
     seed=st.integers(min_value=0, max_value=1_000),
     n_jobs=st.integers(min_value=10, max_value=30),
     sgx_fraction=st.sampled_from([0.5, 1.0]),
@@ -74,7 +75,7 @@ def record(scenario, directory, name):
 )
 @replay_settings
 def test_observation_never_changes_the_run(
-    trace_seed, seed, n_jobs, sgx_fraction, engine
+    gen_seed, seed, n_jobs, sgx_fraction, engine
 ):
     toggles = {
         "periodic": {},
@@ -92,7 +93,7 @@ def test_observation_never_changes_the_run(
         },
     }[engine]
     scenario = Scenario(
-        trace=bursty_trace(trace_seed, n_jobs),
+        trace=bursty_trace(gen_seed, n_jobs),
         sgx_fraction=sgx_fraction,
         seed=seed,
         **toggles,
@@ -105,16 +106,16 @@ def test_observation_never_changes_the_run(
 
 
 @given(
-    trace_seed=st.integers(min_value=0, max_value=1_000),
+    gen_seed=st.integers(min_value=0, max_value=1_000),
     seed=st.integers(min_value=0, max_value=1_000),
     n_jobs=st.integers(min_value=10, max_value=30),
 )
 @replay_settings
 def test_cells1_ledger_is_decision_for_decision_the_oracle(
-    trace_seed, seed, n_jobs
+    gen_seed, seed, n_jobs
 ):
     scenario = Scenario(
-        trace=bursty_trace(trace_seed, n_jobs),
+        trace=bursty_trace(gen_seed, n_jobs),
         sgx_fraction=0.5,
         seed=seed,
     )
@@ -141,7 +142,7 @@ def test_repeat_runs_write_byte_identical_ledgers(tmp_path):
     for name in ("a", "b"):
         path, _ = record(scenario, str(tmp_path), name)
         paths.append(path)
-    first, second = (open(p, "rb").read() for p in paths)
+    first, second = (Path(p).read_bytes() for p in paths)
     assert first == second
 
 

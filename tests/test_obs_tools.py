@@ -8,6 +8,8 @@ only decision the two engines make differently), and a preemption
 on/off pair must split at the planner's first verdict.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.api import ObserveConfig, Scenario
@@ -29,9 +31,9 @@ from repro.trace.borg import synthetic_scaled_trace
 from repro.units import mib
 
 
-def bursty_trace(trace_seed, n_jobs):
+def bursty_trace(gen_seed, n_jobs):
     return synthetic_scaled_trace(
-        seed=trace_seed,
+        seed=gen_seed,
         n_jobs=n_jobs,
         overallocators=max(1, n_jobs // 10),
         window_seconds=120.0,
@@ -218,7 +220,7 @@ class TestSpans:
         assert result.ledger_path is None
         import json
 
-        document = json.loads(open(result.trace_path).read())
+        document = json.loads(Path(result.trace_path).read_text())
         events = document["traceEvents"]
         assert events, "a replay must record spans"
         names = {event["name"] for event in events}
@@ -238,7 +240,7 @@ class TestSpans:
         ).run()
         import json
 
-        events = json.loads(open(result.trace_path).read())[
+        events = json.loads(Path(result.trace_path).read_text())[
             "traceEvents"
         ]
         cell_ids = {
@@ -271,7 +273,7 @@ class TestMetrics:
                 metrics_path=str(tmp_path / "run.prom"),
             )
         ).run()
-        text = open(result.metrics_path).read()
+        text = Path(result.metrics_path).read_text()
         assert "# TYPE repro_passes_total counter" in text
         assert (
             f'repro_passes_total{{outcome="executed"}} '
@@ -291,7 +293,7 @@ class TestMetrics:
                 metrics_path=str(tmp_path / "again.prom"),
             )
         ).run()
-        assert open(again.metrics_path).read() == text
+        assert Path(again.metrics_path).read_text() == text
 
     def test_registry_rendering(self):
         registry = MetricsRegistry()

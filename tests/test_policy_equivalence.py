@@ -27,10 +27,10 @@ replay_settings = settings(
 )
 
 
-def bursty_trace(trace_seed, n_jobs):
+def bursty_trace(gen_seed, n_jobs):
     """A short-window trace: the queue backs up, so policies matter."""
     return synthetic_scaled_trace(
-        seed=trace_seed,
+        seed=gen_seed,
         n_jobs=n_jobs,
         overallocators=max(1, n_jobs // 10),
         window_seconds=120.0,
@@ -38,16 +38,16 @@ def bursty_trace(trace_seed, n_jobs):
 
 
 @given(
-    trace_seed=st.integers(min_value=0, max_value=1_000),
+    gen_seed=st.integers(min_value=0, max_value=1_000),
     seed=st.integers(min_value=0, max_value=1_000),
     n_jobs=st.integers(min_value=10, max_value=40),
     sgx_fraction=st.sampled_from([0.5, 1.0]),
 )
 @replay_settings
 def test_disabled_policy_is_bit_for_bit_the_oracle(
-    trace_seed, seed, n_jobs, sgx_fraction
+    gen_seed, seed, n_jobs, sgx_fraction
 ):
-    trace = bursty_trace(trace_seed, n_jobs)
+    trace = bursty_trace(gen_seed, n_jobs)
     plain = Scenario(
         trace=trace, sgx_fraction=sgx_fraction, seed=seed
     )
@@ -73,7 +73,7 @@ def test_disabled_policy_is_bit_for_bit_the_oracle(
 
 
 @given(
-    trace_seed=st.integers(min_value=0, max_value=1_000),
+    gen_seed=st.integers(min_value=0, max_value=1_000),
     seed=st.integers(min_value=0, max_value=1_000),
     n_jobs=st.integers(min_value=15, max_value=40),
     policy=st.sampled_from(
@@ -82,9 +82,9 @@ def test_disabled_policy_is_bit_for_bit_the_oracle(
 )
 @replay_settings
 def test_engines_agree_under_preemption(
-    trace_seed, seed, n_jobs, policy
+    gen_seed, seed, n_jobs, policy
 ):
-    trace = bursty_trace(trace_seed, n_jobs)
+    trace = bursty_trace(gen_seed, n_jobs)
     base = Scenario(
         trace=trace,
         sgx_fraction=1.0,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Scenario
 from repro.cluster.resources import ResourceVector
 from repro.cluster.topology import paper_cluster
 from repro.errors import SchedulingError
@@ -24,7 +25,7 @@ from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.base import ClusterStateService, NodeView
 from repro.scheduler.binpack import BinpackScheduler
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.simulation.runner import run_replay
 from repro.units import gib, mib
 
 
@@ -105,13 +106,13 @@ class TestBuildViewsEquivalence:
         """End to end: the cache changes latency, never behaviour."""
         results = {}
         for use_cache in (True, False):
-            config = ReplayConfig(
+            config = Scenario(
                 scheduler="binpack",
                 sgx_fraction=0.5,
                 seed=11,
                 use_state_cache=use_cache,
             )
-            outcome = replay_trace(small_trace, config)
+            outcome = run_replay(small_trace, config)
             results[use_cache] = (
                 outcome.metrics.makespan_seconds,
                 sorted(

@@ -2,23 +2,20 @@
 
 import pytest
 
+from repro.api import Scenario
 from repro.errors import SimulationError
 from repro.orchestrator.api import PodPhase
 from repro.simulation.events import EventKind
-from repro.simulation.runner import (
-    ReplayConfig,
-    make_scheduler,
-    replay_trace,
-)
+from repro.simulation.runner import make_scheduler, run_replay
 from repro.units import mib
 from repro.workload.malicious import MaliciousConfig
 
 
 @pytest.fixture(scope="module")
 def small_result(small_trace_module):
-    return replay_trace(
+    return run_replay(
         small_trace_module,
-        ReplayConfig(scheduler="binpack", sgx_fraction=0.5, seed=1),
+        Scenario(scheduler="binpack", sgx_fraction=0.5, seed=1),
     )
 
 
@@ -32,12 +29,12 @@ def small_trace_module():
 class TestMakeScheduler:
     def test_known_names(self):
         for name in ("binpack", "spread", "kube-default"):
-            scheduler = make_scheduler(ReplayConfig(scheduler=name))
+            scheduler = make_scheduler(Scenario(scheduler=name))
             assert scheduler is not None
 
     def test_unknown_name_rejected(self):
         with pytest.raises(SimulationError):
-            make_scheduler(ReplayConfig(scheduler="random"))
+            make_scheduler(Scenario(scheduler="random"))
 
 
 class TestReplayCompleteness:
@@ -116,9 +113,9 @@ class TestTimingSemantics:
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self, small_trace_module):
-        config = ReplayConfig(scheduler="binpack", sgx_fraction=0.5, seed=3)
-        a = replay_trace(small_trace_module, config)
-        b = replay_trace(small_trace_module, config)
+        config = Scenario(scheduler="binpack", sgx_fraction=0.5, seed=3)
+        a = run_replay(small_trace_module, config)
+        b = run_replay(small_trace_module, config)
         assert [
             (p.name, p.waiting_seconds, p.turnaround_seconds)
             for p in a.metrics.pods
@@ -130,9 +127,9 @@ class TestDeterminism:
 
 class TestEnforcementInReplay:
     def test_overallocators_killed_with_limits(self, small_trace_module):
-        result = replay_trace(
+        result = run_replay(
             small_trace_module,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
@@ -148,13 +145,13 @@ class TestEnforcementInReplay:
         )
 
     def test_malicious_squatters_slow_honest_jobs(self, small_trace_module):
-        base = replay_trace(
+        base = run_replay(
             small_trace_module,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+            Scenario(scheduler="binpack", sgx_fraction=1.0, seed=1),
         )
-        squatted = replay_trace(
+        squatted = run_replay(
             small_trace_module,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
@@ -167,9 +164,9 @@ class TestEnforcementInReplay:
         )
 
     def test_enforcement_kills_malicious_pods(self, small_trace_module):
-        result = replay_trace(
+        result = run_replay(
             small_trace_module,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
@@ -191,9 +188,9 @@ class TestEpcSweep:
     def test_larger_epc_never_slower(self, small_trace_module):
         makespans = []
         for size in (64, 128, 256):
-            result = replay_trace(
+            result = run_replay(
                 small_trace_module,
-                ReplayConfig(
+                Scenario(
                     scheduler="binpack",
                     sgx_fraction=1.0,
                     seed=1,
@@ -213,13 +210,13 @@ class TestRebalancerInReplay:
                 for p in result.metrics.succeeded
             )
 
-        base = replay_trace(
+        base = run_replay(
             small_trace_module,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+            Scenario(scheduler="binpack", sgx_fraction=1.0, seed=1),
         )
-        rebalanced = replay_trace(
+        rebalanced = run_replay(
             small_trace_module,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
@@ -232,9 +229,9 @@ class TestRebalancerInReplay:
         assert base.migration_count == 0
 
     def test_rebalancer_disabled_by_default(self, small_trace_module):
-        result = replay_trace(
+        result = run_replay(
             small_trace_module,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+            Scenario(scheduler="binpack", sgx_fraction=1.0, seed=1),
         )
         assert result.migration_count == 0
 
@@ -243,9 +240,9 @@ class TestFailureInjection:
     def test_sgx_node_crash_mid_replay(self, small_trace_module):
         """Crashing one SGX node mid-run loses no work permanently:
         every job name eventually completes on the survivors."""
-        result = replay_trace(
+        result = run_replay(
             small_trace_module,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
@@ -271,9 +268,9 @@ class TestFailureInjection:
     def test_crash_of_idle_standard_node_is_harmless(
         self, small_trace_module
     ):
-        result = replay_trace(
+        result = run_replay(
             small_trace_module,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
@@ -283,13 +280,13 @@ class TestFailureInjection:
         assert len(result.metrics.succeeded) == 40
 
     def test_makespan_grows_under_failure(self, small_trace_module):
-        healthy = replay_trace(
+        healthy = run_replay(
             small_trace_module,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+            Scenario(scheduler="binpack", sgx_fraction=1.0, seed=1),
         )
-        degraded = replay_trace(
+        degraded = run_replay(
             small_trace_module,
-            ReplayConfig(
+            Scenario(
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
