@@ -45,9 +45,9 @@ or missing baseline.  CI runs this as an *advisory* job::
 
 ``--quick`` restricts every sweep to its cheapest baseline-comparable
 configuration (smallest sizes for state_cache/event_sched, a single
-repeat of the headline sched_scale point), which keeps the job under a
-minute while still catching the regressions that matter — an
-accidental fallback to the slow path shows up at any size.
+repeat of the headline and contended sched_scale points), which keeps
+the job under a minute while still catching the regressions that
+matter — an accidental fallback to the slow path shows up at any size.
 """
 
 from __future__ import annotations
@@ -207,12 +207,12 @@ def fresh_reports(names, quick: bool) -> dict:
             )
         else:
             # Quick mode still runs the headline 2000x200 binpack point
-            # (a smaller one would have no baseline row to compare
-            # against) but with a single repeat instead of five.
-            scheduler, pods, nodes, _ = run_bench.SCHED_SCALE_POINTS[0]
+            # and the contended 2000x8 one (a smaller point would have
+            # no baseline row to compare against), with a single
+            # repeat each.
             reports[name] = run_bench.run_sched_scale(
                 points=(
-                    ((scheduler, pods, nodes, 1),)
+                    run_bench.SCHED_SCALE_QUICK_POINTS
                     if quick
                     else run_bench.SCHED_SCALE_POINTS
                 )

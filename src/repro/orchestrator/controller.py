@@ -455,8 +455,8 @@ class Orchestrator:
         The expensive facts — the admitted-pod walk and the
         driver-measured occupancy ioctl behind each candidate's
         ``freed``/``cost`` inputs — are preemptor-independent, so they
-        are collected once per pass and filtered per preemptor (the
-        priority/QoS gate) by :meth:`_preempt_and_place`, which also
+        are collected at most once per pass and filtered per preemptor
+        (the priority/QoS gate) by :meth:`_preempt_and_place`, which also
         removes executed victims from these lists.  Pods bound at
         *now* — placed by this very pass — are excluded outright so a
         pass never thrashes its own placements.
@@ -512,9 +512,10 @@ class Orchestrator:
         preemptor over the pass's shared *facts*.
         """
         requests = preemptor.spec.resources.requests
+        needs_sgx = preemptor.requires_sgx
         by_node: Dict[str, List[EvictionCandidate]] = {}
         for view in views:
-            if preemptor.requires_sgx and not view.sgx_capable:
+            if needs_sgx and not view.sgx_capable:
                 continue
             if not requests.fits_within(view.capacity):
                 continue
@@ -556,7 +557,10 @@ class Orchestrator:
         span_start = spans.begin()
         views_by_name = {view.name: view for view in views}
         index = scheduler.last_index
-        facts = self._collect_eviction_facts(now)
+        # Collected on the first pod that reaches the planner: a pass
+        # whose deferred pods all sit below the threshold (or behind a
+        # strict-FCFS head) never walks the admitted pods.
+        facts: Optional[Dict[str, List[EvictionCandidate]]] = None
         still_deferred: List[Pod] = []
         for position, pod in enumerate(deferred):
             if scheduler.strict_fcfs and position > 0:
@@ -570,6 +574,8 @@ class Orchestrator:
             if pod.spec.priority < self.preemption_priority_threshold:
                 still_deferred.append(pod)
                 continue
+            if facts is None:
+                facts = self._collect_eviction_facts(now)
             plan = policy.plan(
                 pod,
                 views_by_name,

@@ -30,7 +30,7 @@ from ..obs.ledger import NULL_LEDGER
 from ..obs.spans import NULL_SPANS
 from ..orchestrator.kubelet import Kubelet
 from ..orchestrator.pod import Pod
-from .filtering import can_ever_fit, feasible_candidates, prefer_non_sgx
+from .filtering import feasible_candidates, prefer_non_sgx
 from .index import NodeCandidateIndex, SelectionStats
 
 logger = logging.getLogger(__name__)
@@ -171,6 +171,31 @@ def classify_wait(
     if requests.cpu_millicores > cpu_max:
         return "cpu"
     return "fragmentation"
+
+
+def free_maxima(views: Sequence[NodeView]) -> Tuple[int, int, int]:
+    """Per-dimension maxima of the views' ``available`` vectors.
+
+    Returns ``(cpu, memory, epc)``, each floored at zero exactly like
+    :attr:`NodeView.available`, or ``(-1, -1, -1)`` when *views* is
+    empty -- the same answer as the candidate index's group roots.
+    """
+    if not views:
+        return -1, -1, -1
+    cpu_max = memory_max = epc_max = 0
+    for view in views:
+        capacity = view.capacity
+        used = view.used
+        free = capacity.cpu_millicores - used.cpu_millicores
+        if free > cpu_max:
+            cpu_max = free
+        free = capacity.memory_bytes - used.memory_bytes
+        if free > memory_max:
+            memory_max = free
+        free = capacity.epc_pages - used.epc_pages
+        if free > epc_max:
+            epc_max = free
+    return cpu_max, memory_max, epc_max
 
 
 #: Inner query of the paper's Listing 1, parameterised by measurement:
@@ -500,9 +525,11 @@ class Scheduler(abc.ABC):
         When ``True``, the pass batches the pending queue against the
         incremental :class:`~repro.scheduler.index.NodeCandidateIndex`
         instead of re-scanning every node for every pod.  Selections
-        are bit-for-bit identical to the default full-scan oracle; the
-        toggle exists for A/B benchmarking and because the oracle is
-        the reference the equivalence suite trusts.
+        are bit-for-bit identical to the default full-scan pass.  The
+        index pays off on wide clusters, where each placement would
+        otherwise scan hundreds of nodes.  On few-node, deep-backlog
+        passes the full scan is faster, because it answers a deferred
+        pod from per-pass free-capacity maxima without any node scan.
     """
 
     name = "abstract"
@@ -544,7 +571,16 @@ class Scheduler(abc.ABC):
     def schedule(
         self, pending: Sequence[Pod], views: Sequence[NodeView], now: float
     ) -> SchedulingOutcome:
-        """Run one pass over *pending* (oldest first) against *views*."""
+        """Run one pass over *pending* (oldest first) against *views*.
+
+        Deferred pods are answered from per-pass free-capacity maxima
+        (see :func:`free_maxima`): one tuple for all nodes (standard
+        pods) and one for the SGX nodes (enclave pods), each computed
+        when a pod of its group first defers and dropped on every
+        ``reserve``.  While a tuple is known, a request exceeding it in
+        any dimension has no candidate, so the pod is deferred without
+        a node scan; its reason comes from the same tuple.
+        """
         if self.indexed:
             return self._schedule_indexed(pending, views, now)
         self.last_selection_stats = None
@@ -555,19 +591,53 @@ class Scheduler(abc.ABC):
         if not self.use_measured:
             for view in views:
                 view.used = view.committed
+        sgx_views = [view for view in views if view.sgx_capable]
+        all_maxima: Optional[Tuple[int, int, int]] = None
+        sgx_maxima: Optional[Tuple[int, int, int]] = None
         for pod in pending:
-            if not can_ever_fit(pod, views):
+            requests = pod.spec.resources.requests
+            cpu = requests.cpu_millicores
+            memory = requests.memory_bytes
+            epc = requests.epc_pages
+            needs_sgx = pod.requires_sgx
+            eligible = sgx_views if needs_sgx else views
+            # can_ever_fit, inlined over the eligible views.
+            for view in eligible:
+                capacity = view.capacity
+                if (
+                    cpu <= capacity.cpu_millicores
+                    and memory <= capacity.memory_bytes
+                    and epc <= capacity.epc_pages
+                ):
+                    break
+            else:
                 outcome.unschedulable.append(pod)
                 continue
-            candidates = feasible_candidates(pod, views)
-            if self.preserve_sgx_nodes:
-                candidates = prefer_non_sgx(pod, candidates)
-            if not candidates:
-                reason = self._wait_reason(pod, views)
+            maxima = sgx_maxima if needs_sgx else all_maxima
+            candidates: List[NodeView] = []
+            if maxima is None or (
+                cpu <= maxima[0] and memory <= maxima[1] and epc <= maxima[2]
+            ):
+                candidates = feasible_candidates(pod, eligible)
+                if self.preserve_sgx_nodes:
+                    candidates = prefer_non_sgx(pod, candidates)
+            chosen = (
+                self._select(pod, candidates, views) if candidates else None
+            )
+            if chosen is None:
+                if maxima is None:
+                    maxima = free_maxima(eligible)
+                    if needs_sgx:
+                        sgx_maxima = maxima
+                    else:
+                        all_maxima = maxima
+                reason = classify_wait(requests, *maxima)
                 outcome.defer(pod, reason)
                 if ledger.enabled:
                     ledger.emit(now, "deferral", pod=pod.name, reason=reason)
-                if self.strict_fcfs:
+                # Strict FCFS: a pod no node can take blocks the queue;
+                # a strategy declining a candidate list does not.
+                if self.strict_fcfs and not candidates:
                     remaining = list(pending)
                     tail = remaining[remaining.index(pod) + 1:]
                     for blocked in tail:
@@ -579,19 +649,13 @@ class Scheduler(abc.ABC):
                             )
                     break
                 continue
-            chosen = self._select(pod, candidates, views)
-            if chosen is None:
-                reason = self._wait_reason(pod, views)
-                outcome.defer(pod, reason)
-                if ledger.enabled:
-                    ledger.emit(now, "deferral", pod=pod.name, reason=reason)
-                continue
-            if not pod.spec.resources.requests.fits_within(chosen.available):
+            if not requests.fits_within(chosen.available):
                 raise SchedulingError(
                     f"{self.name} selected saturated node {chosen.name} "
                     f"for pod {pod.name}"
                 )
-            chosen.reserve(pod.spec.resources.requests)
+            chosen.reserve(requests)
+            all_maxima = sgx_maxima = None
             outcome.assignments.append(
                 Assignment(pod=pod, node_name=chosen.name)
             )
@@ -678,29 +742,11 @@ class Scheduler(abc.ABC):
         return outcome
 
     # -- deferral classification (observability, both paths) -------------
-
-    @staticmethod
-    def _wait_reason(pod: Pod, views: Sequence[NodeView]) -> str:
-        """Oracle-path deferral reason: scan the eligible views.
-
-        O(nodes) per deferral — the oracle pass is already linear in
-        the nodes for every pod, so classification does not change its
-        complexity.
-        """
-        cpu_max = memory_max = epc_max = -1
-        for view in views:
-            if pod.requires_sgx and not view.sgx_capable:
-                continue
-            available = view.available
-            if available.cpu_millicores > cpu_max:
-                cpu_max = available.cpu_millicores
-            if available.memory_bytes > memory_max:
-                memory_max = available.memory_bytes
-            if available.epc_pages > epc_max:
-                epc_max = available.epc_pages
-        return classify_wait(
-            pod.spec.resources.requests, cpu_max, memory_max, epc_max
-        )
+    #
+    # Both passes classify a deferral with :func:`classify_wait` over the
+    # free maxima of the pod's eligible nodes: the full scan from its
+    # lazy per-pass :func:`free_maxima` tuples, the indexed pass from its
+    # tree roots.  Each is O(1) per deferral once its maxima are known.
 
     @staticmethod
     def _wait_reason_indexed(pod: Pod, index: NodeCandidateIndex) -> str:

@@ -38,10 +38,11 @@ def feasible_nodes(
     per-node rejection bookkeeping.
     """
     requests = pod.spec.resources.requests
+    needs_sgx = pod.requires_sgx
     candidates: List["NodeView"] = []
     rejections: Dict[str, FilterReason] = {}
     for view in views:
-        if pod.requires_sgx and not view.sgx_capable:
+        if needs_sgx and not view.sgx_capable:
             rejections[view.name] = FilterReason.HARDWARE_INCOMPATIBLE
             continue
         if not requests.fits_within(view.available):
@@ -98,8 +99,9 @@ def can_ever_fit(pod: Pod, views: Sequence["NodeView"]) -> bool:
     largest enclave jobs unsatisfiable).
     """
     requests = pod.spec.resources.requests
+    needs_sgx = pod.requires_sgx
     for view in views:
-        if pod.requires_sgx and not view.sgx_capable:
+        if needs_sgx and not view.sgx_capable:
             continue
         if requests.fits_within(view.capacity):
             return True

@@ -405,8 +405,8 @@ class NodeCandidateIndex:
         pods, the component-wise merge of both groups' for standard
         pods.  Equals what a linear scan of the eligible views'
         ``available`` vectors would report (-1 per dimension when no
-        node is eligible), which is how the oracle's deferral
-        classifier computes the same answer.
+        node is eligible), which is what the full-scan pass's
+        :func:`~repro.scheduler.base.free_maxima` computes.
         """
         if pod.requires_sgx:
             return self.sgx.root

@@ -254,6 +254,44 @@ class TestOrchestratorPreemption:
         assert result.evicted == []
         assert [pod.name for pod in result.deferred] == ["meek"]
 
+    def test_eviction_facts_collected_only_for_a_planning_pass(
+        self, contended, monkeypatch
+    ):
+        orchestrator, scheduler, _ = contended
+        calls = []
+        collect = orchestrator._collect_eviction_facts
+
+        def counting_collect(now):
+            calls.append(now)
+            return collect(now)
+
+        monkeypatch.setattr(
+            orchestrator, "_collect_eviction_facts", counting_collect
+        )
+        for i in range(2):
+            orchestrator.submit(
+                make_pod_spec(
+                    f"meek-{i}", 60.0,
+                    declared_epc_bytes=mib(80), priority=10,
+                ),
+                now=5.0,
+            )
+        result = orchestrator.scheduling_pass(scheduler, now=6.0)
+        # Every deferred pod is below the threshold: no plan, no walk.
+        assert len(result.deferred) == 2
+        assert calls == []
+        for name in ("vip-0", "vip-1"):
+            orchestrator.submit(
+                make_pod_spec(
+                    name, 60.0, declared_epc_bytes=mib(80), priority=100
+                ),
+                now=7.0,
+            )
+        result = orchestrator.scheduling_pass(scheduler, now=8.0)
+        # Two preemptors plan against one collection.
+        assert result.preemptions == 2
+        assert calls == [8.0]
+
     def test_none_policy_defers_like_the_paper(self):
         cluster = paper_cluster()
         orchestrator = Orchestrator(cluster)  # no policy at all

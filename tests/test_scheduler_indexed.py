@@ -24,6 +24,7 @@ from repro.scheduler import (
     NodeView,
     SpreadScheduler,
 )
+from repro.scheduler.base import Scheduler, classify_wait
 from repro.scheduler.index import NodeCandidateIndex, SelectionStats
 from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
@@ -102,7 +103,31 @@ _pod_strategy = st.builds(
 )
 
 
+class DecliningScheduler(Scheduler):
+    """Test-only strategy that declines every odd-numbered pod.
+
+    Its ``_select`` returns ``None`` even when candidates exist, which
+    is the pass's second deferral site; even pods take the first
+    candidate.  It keeps the default ``_select_indexed``, so the
+    indexed pass reaches the same site through the same call.
+    """
+
+    name = "declining"
+
+    def _select(self, pod, candidates, views):
+        if int(pod.name[1:]) % 2:
+            return None
+        return candidates[0]
+
+
 def build_schedulers(kind, use_measured, strict, preserve, indexed):
+    if kind == "declining":
+        return DecliningScheduler(
+            use_measured=use_measured,
+            strict_fcfs=strict,
+            preserve_sgx_nodes=preserve,
+            indexed=indexed,
+        )
     if kind == "kube-default":
         scheduler = KubeDefaultScheduler(
             strict_fcfs=strict, indexed=indexed
@@ -222,6 +247,163 @@ class TestPassEquivalence:
             )
             stats = indexed.last_selection_stats
             assert stats.statics_reused == (round_number > 0)
+
+
+# -- per-pod deferral reasons -------------------------------------------
+
+def oracle_wait_reason(pod, views):
+    """Linear-scan deferral reason: free maxima of the eligible views.
+
+    The reference both passes must match: it rescans every view and
+    builds each one's ``available`` vector, where the full-scan pass
+    keeps lazy per-pass maxima and the indexed pass reads tree roots.
+    """
+    cpu_max = memory_max = epc_max = -1
+    for view in views:
+        if pod.requires_sgx and not view.sgx_capable:
+            continue
+        available = view.available
+        cpu_max = max(cpu_max, available.cpu_millicores)
+        memory_max = max(memory_max, available.memory_bytes)
+        epc_max = max(epc_max, available.epc_pages)
+    return classify_wait(
+        pod.spec.resources.requests, cpu_max, memory_max, epc_max
+    )
+
+
+class RecordingLedger:
+    """Ledger double: each deferral next to the oracle's reason.
+
+    The oracle runs at emit time against the pass's own views, so it
+    sees exactly the in-pass reservations the scheduler saw.
+    """
+
+    enabled = True
+
+    def __init__(self, pods, views):
+        self._pods = {pod.name: pod for pod in pods}
+        self._views = views
+        self.deferrals = []
+
+    def emit(self, now, kind, **fields):
+        if kind != "deferral":
+            return
+        reason = fields["reason"]
+        expected = (
+            reason
+            if reason == "head_of_line"
+            else oracle_wait_reason(self._pods[fields["pod"]], self._views)
+        )
+        self.deferrals.append((fields["pod"], reason, expected))
+
+
+#: Requests with frequent zero components (a zero request fits even an
+#: overcommitted dimension).
+_sparse_pod_strategy = st.builds(
+    dict,
+    cpu=st.sampled_from([0, 0, 2000, 4000]),
+    mem=st.sampled_from([0, 0, gib(4), gib(32)]),
+    epc=st.sampled_from([0, 0, 1, 2048, 4096]),
+)
+
+#: Views on the same coarse grid as the sparse requests, so free
+#: amounts often equal a request exactly; ``used`` often exceeds
+#: capacity in some dimension.
+_grid_vec = st.builds(
+    ResourceVector,
+    cpu_millicores=st.sampled_from([0, 2000, 4000, 6000]),
+    memory_bytes=st.sampled_from([0, gib(4), gib(32), gib(64)]),
+    epc_pages=st.sampled_from([0, 2048, 4096, 6144]),
+)
+_overcommitted_view_strategy = st.builds(
+    dict,
+    sgx=st.booleans(),
+    capacity=_grid_vec,
+    used=_grid_vec,
+    committed=_grid_vec,
+)
+
+
+class TestDeferralReasons:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["binpack", "spread", "kube-default", "declining"]
+        ),
+        use_measured=st.booleans(),
+        strict=st.booleans(),
+        preserve=st.booleans(),
+        raw_views=st.lists(
+            st.one_of(_view_strategy, _overcommitted_view_strategy),
+            min_size=0,
+            max_size=8,
+        ),
+        raw_pods=st.lists(
+            st.one_of(_pod_strategy, _sparse_pod_strategy),
+            min_size=0,
+            max_size=10,
+        ),
+    )
+    def test_each_deferral_matches_the_oracle_scan(
+        self, kind, use_measured, strict, preserve, raw_views, raw_pods
+    ):
+        views = [
+            NodeView(
+                name=f"n{i:03d}",
+                sgx_capable=raw["sgx"],
+                capacity=raw["capacity"],
+                used=raw["used"],
+                committed=raw["committed"],
+            )
+            for i, raw in enumerate(raw_views)
+        ]
+        pods = [
+            make_pod(f"p{i:03d}", submitted_at=float(i), **raw)
+            for i, raw in enumerate(raw_pods)
+        ]
+
+        def run(indexed):
+            scheduler = build_schedulers(
+                kind, use_measured, strict, preserve, indexed=indexed
+            )
+            pass_views = clone_views(views)
+            ledger = RecordingLedger(pods, pass_views)
+            scheduler.ledger = ledger
+            outcome = scheduler.schedule(pods, pass_views, now=100.0)
+            assert [pod for pod, _, _ in ledger.deferrals] == [
+                pod.name for pod in outcome.deferred
+            ]
+            return ledger.deferrals
+
+        full_scan = run(indexed=False)
+        indexed = run(indexed=True)
+        assert [(pod, reason) for pod, reason, _ in full_scan] == [
+            (pod, reason) for pod, reason, _ in indexed
+        ]
+        for pod, reason, expected in full_scan + indexed:
+            assert reason == expected, pod
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_known_maxima_boundaries(self, indexed):
+        """A request equal to the known free maximum still fits, and
+        a placement invalidates the maxima a deferral computed."""
+        views = [make_view("a", cpu=8000, used=ResourceVector(4000, 0, 0))]
+        pods = [
+            make_pod("p000", cpu=6000),  # defers on cpu: 4000 free
+            make_pod("p001", cpu=4000),  # exactly the known maximum
+            make_pod("p002", cpu=1),  # nothing left after p001
+        ]
+        scheduler = build_schedulers(
+            "binpack", True, False, True, indexed=indexed
+        )
+        ledger = RecordingLedger(pods, views)
+        scheduler.ledger = ledger
+        outcome = scheduler.schedule(pods, views, now=100.0)
+        assert [a.pod.name for a in outcome.assignments] == ["p001"]
+        assert ledger.deferrals == [
+            ("p000", "cpu", "cpu"),
+            ("p002", "cpu", "cpu"),
+        ]
 
 
 # -- targeted index behaviour --------------------------------------------
