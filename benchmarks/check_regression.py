@@ -5,13 +5,14 @@ metric against the matching row of the committed ``BENCH_*.json``:
 
 * ``state_cache``  — ``speedup``  (cached vs full-scan snapshot);
 * ``event_sched``  — ``pass_reduction`` (passes skipped by triggers);
-* ``sched_scale``  — ``speedup``  (indexed vs full-scan placement);
+* ``sched_scale``  — ``pods_per_ms`` (pending pods one scheduling
+  pass settles per millisecond);
 * ``api_sweep``    — ``completed`` (scenario-layer sweep outcomes),
   with the ``parallel_identical`` pool-vs-serial equivalence flag;
 * ``preemption``   — ``p50_reduction`` (high-priority-tier waiting
   time, non-preemptive vs ``cheapest-victims``), with the
   ``disabled_identical`` flag proving priority-disabled runs stay
-  bit-for-bit the oracle across engines;
+  bit-for-bit identical across the periodic and event-driven engines;
 * ``traces``       — ``completed`` (windowed-ingestion kept rows and
   synthetic-replay outcomes), with the ``deterministic`` flag proving
   every registered spec resolves and replays reproducibly;
@@ -75,9 +76,9 @@ GATES = {
     ),
     "sched_scale": (
         "BENCH_sched_scale.json",
-        "speedup",
+        "pods_per_ms",
         ("scheduler", "pods", "nodes"),
-        "identical",
+        None,
     ),
     "api_sweep": (
         "BENCH_api_sweep.json",

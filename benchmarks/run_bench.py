@@ -17,10 +17,9 @@ Nine sweeps over the scheduling hot path:
   wall-clock, and a bit-for-bit equivalence check of every pod's
   lifecycle timestamps, at 250–2000 pods;
 * **sched_scale** — the placement loop *inside* one pass: a pending
-  batch scheduled against a large cluster with the per-pod full scan
-  versus the incremental node-candidate index
-  (``Scheduler(indexed=True)``), with an outcome-identity check, at up
-  to 5000 pods over 200 nodes;
+  batch scheduled against a large cluster by the one scheduling pass,
+  reported as pass latency and pods per millisecond, at up to 5000
+  pods over 200 nodes and on a contended 8-node shape;
 * **api_sweep** — a scenario-layer sweep (``repro.api.Sweep``) run
   serially and over a 4-worker process pool, with a per-scenario
   bit-for-bit identity check, emitted in the structured
@@ -31,8 +30,7 @@ Nine sweeps over the scheduling hot path:
   ``cheapest-victims`` planner, reporting the high-priority tier's
   p50/mean waiting-time reduction and the eviction counts — plus a
   ``disabled_identical`` flag proving the priority-disabled run is
-  bit-for-bit the oracle across the periodic, event-driven and
-  indexed engines;
+  bit-for-bit the event-driven engine's run;
 * **traces** — the trace ecosystem: streaming ``borg-csv`` ingestion
   throughput over a 100k-row file with a peak-memory comparison of a
   windowed load versus the full load (the window must stay O(kept
@@ -47,12 +45,12 @@ Nine sweeps over the scheduling hot path:
   (~2x at 10k pods) and the 16-cell row still beats the flat path at
   the 100k top, where per-node monitoring (untouched by sharding)
   dominates the wall;
-* **wall** — whole-replay wall clock at 250–2000 pods for all three
+* **wall** — whole-replay wall clock at 250–2000 pods for both
   engines, reported as a speedup against the hard-coded pre-refactor
   baselines (:data:`WALL_BASELINES`, measured at the seed commit of
   the hot-path rebuild), with an ``engines_identical`` flag comparing
-  pod lifecycles, makespan and the queue series across the periodic,
-  event-driven and indexed runs;
+  pod lifecycles, makespan and the queue series across the periodic
+  and event-driven runs;
 * **obs** — the observability contract: the periodic wall sweep's
   1000/2000-pod points replayed with the decision ledger off and on
   (``Scenario(observe=ObserveConfig(ledger_path=...))``), reporting
@@ -77,6 +75,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import random
 import statistics
 import sys
@@ -335,19 +334,9 @@ def _clone_views(views):
     ]
 
 
-def _outcome_signature(outcome):
-    return (
-        [(a.pod.name, a.node_name) for a in outcome.assignments],
-        [pod.name for pod in outcome.unschedulable],
-        [pod.name for pod in outcome.deferred],
-    )
-
-
-def time_sched_pass(scheduler_name, indexed, views, pods, repeats):
+def time_sched_pass(scheduler_name, views, pods, repeats):
     """Median seconds of one full batch pass, plus its outcome."""
-    scheduler = Scenario(
-        scheduler=scheduler_name, indexed_scheduling=indexed
-    ).build_scheduler()
+    scheduler = Scenario(scheduler=scheduler_name).build_scheduler()
     timings = []
     outcome = None
     for _ in range(repeats):
@@ -360,11 +349,11 @@ def time_sched_pass(scheduler_name, indexed, views, pods, repeats):
 
 #: (scheduler, pods, nodes, repeats): the headline row is binpack at
 #: 2000×200; 5000 pods shows the trend and the spread/kube rows show
-#: how the index fares per strategy.  Spread stays smaller because the
-#: full scan is quadratic in nodes per pod.  The 2000×8 row is the
-#: contended shape: few nodes, a deep backlog, almost every pod
-#: deferred — where the full scan's per-pass free maxima answer each
-#: deferral without a node scan and beat the index.
+#: the per-strategy cost.  Spread stays smaller because its scoring is
+#: quadratic in nodes per pod.  The 2000×8 row is the contended shape:
+#: few nodes, a deep backlog, almost every pod deferred — where the
+#: pass's per-pass free maxima answer each deferral without a node
+#: scan.
 SCHED_SCALE_POINTS = (
     ("binpack", 2000, 200, 5),
     ("binpack", 5000, 200, 3),
@@ -381,34 +370,37 @@ SCHED_SCALE_QUICK_POINTS = (
 
 
 def run_sched_scale(points=SCHED_SCALE_POINTS) -> dict:
-    """Per-pass placement latency: full scan vs candidate index."""
+    """Per-pass placement latency of the scheduling pass.
+
+    ``pods_per_ms`` — pending pods the pass settles (placed, deferred
+    or rejected) per millisecond of the median pass — is the gated
+    headline: higher is better.
+    """
     results = []
     for scheduler_name, n_pods, n_nodes, repeats in points:
         views, pods = build_sched_pass(n_pods, n_nodes)
-        full_s, full_outcome = time_sched_pass(
-            scheduler_name, False, views, pods, repeats
-        )
-        indexed_s, indexed_outcome = time_sched_pass(
-            scheduler_name, True, views, pods, repeats
+        pass_s, outcome = time_sched_pass(
+            scheduler_name, views, pods, repeats
         )
         results.append(
             {
                 "scheduler": scheduler_name,
                 "pods": n_pods,
                 "nodes": n_nodes,
-                "placed": len(full_outcome.assignments),
-                "deferred": len(full_outcome.deferred),
-                "full_scan_ms": round(full_s * 1e3, 3),
-                "indexed_ms": round(indexed_s * 1e3, 3),
-                "speedup": round(full_s / indexed_s, 2),
-                "identical": (
-                    _outcome_signature(full_outcome)
-                    == _outcome_signature(indexed_outcome)
-                ),
+                "placed": len(outcome.assignments),
+                "deferred": len(outcome.deferred),
+                "pass_ms": round(pass_s * 1e3, 3),
+                "pods_per_ms": round(n_pods / (pass_s * 1e3), 2),
             }
         )
     return {
         "benchmark": "sched_scale",
+        "timing": "median of the row's repeats, one process",
+        "environment": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
         "sgx_fraction": SGX_FRACTION,
         "sgx_node_fraction": round(1 / SCHED_SCALE_SGX_STRIDE, 4),
         "results": results,
@@ -513,7 +505,6 @@ def preemption_scenario(n_pods: int, policy: str) -> Scenario:
         epc_total_bytes=mib(PREEMPTION_EPC_MIB),
         standard_workers=workers,
         sgx_workers=workers,
-        indexed_scheduling=True,
         workload="priority-mix",
         workload_options={
             "high_fraction": PREEMPTION_HIGH_FRACTION,
@@ -541,15 +532,13 @@ def run_preemption(sizes=PREEMPTION_SIZES) -> dict:
             n_pods, "cheapest-victims"
         ).with_(trace=trace).run()
         # Equivalence fact: the priority-disabled run equals the
-        # periodic full-scan oracle (and the event-driven engine) bit
-        # for bit — the policy layer costs disabled replays nothing.
-        oracle = baseline.with_(indexed_scheduling=False).run()
+        # event-driven engine's run bit for bit — the policy layer
+        # costs disabled replays nothing on either engine.
         event = baseline.with_(event_driven=True).run()
         disabled_identical = (
-            disabled.pod_signature() == oracle.pod_signature()
-            and event.pod_signature() == oracle.pod_signature()
+            disabled.pod_signature() == event.pod_signature()
             and disabled.metrics.makespan_seconds
-            == oracle.metrics.makespan_seconds
+            == event.metrics.makespan_seconds
         )
         base_high = _tier_waits(disabled, "high")
         fast_high = _tier_waits(preempting, "high")
@@ -631,7 +620,6 @@ def traces_scenario(spec: str) -> Scenario:
         scheduler="binpack",
         sgx_fraction=SGX_FRACTION,
         seed=1,
-        indexed_scheduling=True,
         standard_workers=4,
         sgx_workers=4,
     )
@@ -716,20 +704,17 @@ def run_traces(csv_rows=TRACES_CSV_ROWS) -> dict:
 #: gate compares it against the *committed* BENCH_wall.json row with a
 #: generous tolerance rather than against these constants directly.
 WALL_BASELINES = {
-    250: {"periodic": 0.304, "event": 0.281, "indexed": 0.307},
-    1000: {"periodic": 1.497, "event": 1.545, "indexed": 1.526},
-    2000: {"periodic": 3.966, "event": 3.914, "indexed": 4.045},
+    250: {"periodic": 0.304, "event": 0.281},
+    1000: {"periodic": 1.497, "event": 1.545},
+    2000: {"periodic": 3.966, "event": 3.914},
 }
 
 
-def wall_config(
-    n_pods: int, event_driven: bool = False, indexed: bool = False
-) -> Scenario:
+def wall_config(n_pods: int, event_driven: bool = False) -> Scenario:
     """One engine variant of the wall sweep (sans trace).
 
     Identical shape to :func:`event_sched_config` — the wall sweep
-    times the same scenarios the equivalence sweep verifies — plus the
-    indexed-batch engine as a third variant.
+    times the same scenarios the equivalence sweep verifies.
     """
     workers = max(2, n_pods // 125)
     return Scenario(
@@ -737,7 +722,6 @@ def wall_config(
         sgx_fraction=SGX_FRACTION,
         seed=1,
         event_driven=event_driven,
-        indexed_scheduling=indexed,
         scheduler_period=EVENT_SCHED_PERIOD_SECONDS,
         standard_workers=workers,
         sgx_workers=workers,
@@ -756,7 +740,6 @@ def run_wall(sizes=(250, 1000, 2000), repeats=1) -> dict:
         for engine, kwargs in (
             ("periodic", {}),
             ("event", {"event_driven": True}),
-            ("indexed", {"indexed": True}),
         ):
             scenario = wall_config(n_pods, **kwargs).with_(trace=trace)
             best = None
@@ -768,34 +751,27 @@ def run_wall(sizes=(250, 1000, 2000), repeats=1) -> dict:
                     best = elapsed
                 runs[engine] = result
             walls[engine] = best
-        periodic, event, indexed = (
-            runs["periodic"], runs["event"], runs["indexed"]
-        )
+        periodic, event = runs["periodic"], runs["event"]
         # The cross-engine identity the replay layers must preserve:
         # pod lifecycles, makespan and the queue series.  Pass/skip
-        # counters legitimately differ between periodic and
-        # event-driven engines, but the indexed engine must match the
-        # periodic oracle on the *full* signature.
+        # counters legitimately differ between the engines.
         engines_identical = (
             event.pod_signature() == periodic.pod_signature()
             and event.metrics.makespan_seconds
             == periodic.metrics.makespan_seconds
             and tuple(event.metrics.queue_series)
             == tuple(periodic.metrics.queue_series)
-            and indexed.signature() == periodic.signature()
         )
         baseline = WALL_BASELINES.get(n_pods)
         row = {
             "pods": n_pods,
             "periodic_wall_s": round(walls["periodic"], 3),
             "event_wall_s": round(walls["event"], 3),
-            "indexed_wall_s": round(walls["indexed"], 3),
             "engines_identical": engines_identical,
         }
         if baseline is not None:
             row["baseline_periodic_s"] = baseline["periodic"]
             row["baseline_event_s"] = baseline["event"]
-            row["baseline_indexed_s"] = baseline["indexed"]
             row["speedup"] = round(
                 baseline["periodic"] / walls["periodic"], 2
             )
@@ -1023,10 +999,8 @@ def main() -> None:
     for row in scale_report["results"]:
         print(
             f"{row['scheduler']:>12} {row['pods']:>5} pods / "
-            f"{row['nodes']:>3} nodes: full {row['full_scan_ms']:.1f} ms  "
-            f"indexed {row['indexed_ms']:.1f} ms  "
-            f"speedup {row['speedup']:.1f}x  "
-            f"identical={row['identical']}"
+            f"{row['nodes']:>3} nodes: pass {row['pass_ms']:.1f} ms  "
+            f"{row['pods_per_ms']:.1f} pods/ms"
         )
     print(f"wrote {scale_path}")
 
@@ -1114,7 +1088,6 @@ def main() -> None:
         print(
             f"{row['pods']:>6} pods: periodic {row['periodic_wall_s']:.2f} s  "
             f"event {row['event_wall_s']:.2f} s  "
-            f"indexed {row['indexed_wall_s']:.2f} s  "
             f"(baseline {row.get('baseline_periodic_s', '-')} s, "
             f"speedup {row.get('speedup', '-')}x, "
             f"identical={row['engines_identical']})"

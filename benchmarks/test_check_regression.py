@@ -28,7 +28,7 @@ class TestArguments:
         assert check_regression.main(["--quick"]) == 2
 
 
-def write_baseline(tmp_path, speedup):
+def write_baseline(tmp_path, pods_per_ms):
     (tmp_path / "BENCH_sched_scale.json").write_text(
         json.dumps(
             {
@@ -38,8 +38,7 @@ def write_baseline(tmp_path, speedup):
                         "scheduler": "binpack",
                         "pods": 100,
                         "nodes": 10,
-                        "speedup": speedup,
-                        "identical": True,
+                        "pods_per_ms": pods_per_ms,
                     }
                 ],
             }
@@ -47,15 +46,14 @@ def write_baseline(tmp_path, speedup):
     )
 
 
-def fresh_row(speedup, identical=True):
+def fresh_row(pods_per_ms):
     return {
         "results": [
             {
                 "scheduler": "binpack",
                 "pods": 100,
                 "nodes": 10,
-                "speedup": speedup,
-                "identical": identical,
+                "pods_per_ms": pods_per_ms,
             }
         ]
     }
@@ -64,7 +62,7 @@ def fresh_row(speedup, identical=True):
 class TestCompare:
     def test_within_tolerance_passes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(check_regression, "REPO_ROOT", tmp_path)
-        write_baseline(tmp_path, speedup=10.0)
+        write_baseline(tmp_path, pods_per_ms=10.0)
         failures = check_regression.compare(
             "sched_scale", fresh_row(6.0), tolerance=0.5
         )
@@ -72,29 +70,30 @@ class TestCompare:
 
     def test_below_floor_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(check_regression, "REPO_ROOT", tmp_path)
-        write_baseline(tmp_path, speedup=10.0)
+        write_baseline(tmp_path, pods_per_ms=10.0)
         failures = check_regression.compare(
             "sched_scale", fresh_row(4.0), tolerance=0.5
         )
         assert len(failures) == 1
-        assert "speedup 4.00" in failures[0]
+        assert "pods_per_ms 4.00" in failures[0]
         assert "floor 5.00" in failures[0]
 
     def test_broken_equivalence_always_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(check_regression, "REPO_ROOT", tmp_path)
-        write_baseline(tmp_path, speedup=10.0)
-        failures = check_regression.compare(
-            "sched_scale",
-            fresh_row(100.0, identical=False),
-            tolerance=0.5,
+        row = {"pods": 250, "speedup": 2.0, "engines_identical": True}
+        (tmp_path / "BENCH_wall.json").write_text(
+            json.dumps({"benchmark": "wall", "results": [row]})
         )
-        assert failures and "identical" in failures[0]
+        fresh = {"results": [dict(row, speedup=100.0)]}
+        fresh["results"][0]["engines_identical"] = False
+        failures = check_regression.compare("wall", fresh, tolerance=0.5)
+        assert failures and "engines_identical" in failures[0]
 
     def test_unknown_row_is_skipped_not_failed(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(check_regression, "REPO_ROOT", tmp_path)
-        write_baseline(tmp_path, speedup=10.0)
+        write_baseline(tmp_path, pods_per_ms=10.0)
         fresh = fresh_row(6.0)
         fresh["results"][0]["pods"] = 999
         failures = check_regression.compare(

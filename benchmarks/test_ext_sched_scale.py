@@ -1,10 +1,9 @@
-"""Smoke test: the indexed-scheduling bench harness imports and runs.
+"""Smoke test: the scheduling-pass bench harness imports and runs.
 
 The full sweep (up to 5000 pods over 200 nodes) is ``run_bench.py``'s
 job; tier-1 only proves the harness works end-to-end on tiny
-configurations and that its headline invariant — outcome identity
-between the full scan and the candidate index — holds there for every
-strategy.
+configurations for every strategy and reports its gated
+``pods_per_ms`` headline.
 """
 
 from run_bench import build_sched_pass, run_sched_scale
@@ -22,9 +21,8 @@ class TestSchedScaleBench:
         assert report["benchmark"] == "sched_scale"
         assert len(report["results"]) == 3
         for row in report["results"]:
-            assert row["identical"] is True
             assert row["placed"] + row["deferred"] <= row["pods"]
-            assert row["indexed_ms"] > 0 and row["full_scan_ms"] > 0
+            assert row["pass_ms"] > 0 and row["pods_per_ms"] > 0
 
     def test_pass_builder_mixes_hardware_and_workloads(self):
         views, pods = build_sched_pass(n_pods=120, n_nodes=8)

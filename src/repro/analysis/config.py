@@ -53,7 +53,6 @@ class CheckConfig:
         "orchestrator/pod.py",
         "scheduler/base.py",
         "scheduler/binpack.py",
-        "scheduler/index.py",
         "monitoring/tsdb.py",
         "monitoring/probe.py",
         "monitoring/heapster.py",
@@ -83,7 +82,6 @@ class CheckConfig:
     cli_field_aliases: Dict[str, str] = field(
         default_factory=lambda: {
             "epc_mib": "epc_total_bytes",
-            "indexed": "indexed_scheduling",
             "no_state_cache": "use_state_cache",
             "priority_threshold": "preemption_priority_threshold",
             "cluster_workers": "standard_workers",
@@ -104,8 +102,7 @@ class CheckConfig:
     registry_decorators: Dict[str, Tuple[Tuple[str, ...], int]] = field(
         default_factory=lambda: {
             "register_scheduler": (
-                ("use_measured", "strict_fcfs",
-                 "preserve_sgx_nodes", "indexed"),
+                ("use_measured", "strict_fcfs", "preserve_sgx_nodes"),
                 0,
             ),
             "register_workload": (

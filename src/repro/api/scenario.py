@@ -4,12 +4,12 @@ The paper's evaluation is one sentence — "replay one scaled Borg trace
 under many configurations" — and a :class:`Scenario` is that sentence
 as a value: cluster shape, trace source and seed, workload, scheduler
 name plus options, and the feature toggles the later PRs added
-(``event_driven``, ``indexed_scheduling``, ``use_state_cache``).  It
-validates once, at construction (unknown scheduler/workload names die
-here with the list of registered names), is immutable and picklable (so
-sweeps can ship it to worker processes), and is the only config the
-replay engine reads: ``.run()`` resolves the trace and hands the
-scenario itself to :func:`repro.simulation.runner.run_replay`::
+(``event_driven``, ``use_state_cache``).  It validates once, at
+construction (unknown scheduler/workload names die here with the list
+of registered names), is immutable and picklable (so sweeps can ship it
+to worker processes), and is the only config the replay engine reads:
+``.run()`` resolves the trace and hands the scenario itself to
+:func:`repro.simulation.runner.run_replay`::
 
     from repro.api import Scenario
 
@@ -23,6 +23,7 @@ import dataclasses
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -218,9 +219,6 @@ class Scenario:
     #: unconditionally every period: clean wake-ups are skipped.
     #: Bit-for-bit equivalent to the periodic default (the oracle).
     event_driven: bool = False
-    #: Answer each pass from the incremental node-candidate index
-    #: instead of the per-pod full scan; identical outcomes.
-    indexed_scheduling: bool = False
     #: Answer the scheduler's sliding-window queries from the
     #: incremental aggregate cache instead of re-scanning the TSDB
     #: every pass; identical outcomes.
@@ -322,7 +320,6 @@ class Scenario:
                 "use_measured": self.use_measured,
                 "strict_fcfs": self.strict_fcfs,
                 "preserve_sgx_nodes": self.preserve_sgx_nodes,
-                "indexed": self.indexed_scheduling,
             },
             self.scheduler_options,
         )
@@ -386,9 +383,29 @@ class Scenario:
             )
         for worker_field in ("standard_workers", "sgx_workers"):
             value = getattr(self, worker_field)
-            if value is not None and value < 1:
+            if value is not None and (not _is_count(value) or value < 1):
                 raise SimulationError(
-                    f"{worker_field} must be >= 1: {value}"
+                    f"{worker_field} must be an int >= 1: {value!r}"
+                )
+        for failure in self.node_failures:
+            if len(failure) != 2:
+                raise SimulationError(
+                    "node_failures entries must be (time, node_name) "
+                    f"pairs: {failure!r}"
+                )
+            crash_time, node_name = failure
+            if (
+                isinstance(crash_time, bool)
+                or not isinstance(crash_time, numbers.Real)
+                or not 0 <= crash_time < math.inf
+            ):
+                raise SimulationError(
+                    "node_failures times must be finite and >= 0: "
+                    f"{crash_time!r}"
+                )
+            if not isinstance(node_name, str):
+                raise SimulationError(
+                    f"node_failures node names must be str: {node_name!r}"
                 )
         if self.cells is not None and (
             not _is_count(self.cells) or self.cells < 1
@@ -561,7 +578,6 @@ class RunResult:
             "seed": scenario.seed,
             "epc_mib": round(scenario.epc_total_bytes / 2**20, 3),
             "event_driven": scenario.event_driven,
-            "indexed": scenario.indexed_scheduling,
             "cells": 1 if scenario.cells is None else scenario.cells,
             "cell_policy": scenario.cell_policy,
             "submitted": len(metrics.pods),

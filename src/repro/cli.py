@@ -240,11 +240,6 @@ def _scenario_flags() -> argparse.ArgumentParser:
         help="fire scheduling passes on cluster events",
     )
     parent.add_argument(
-        "--indexed",
-        action="store_true",
-        help="schedule batches against the node-candidate index",
-    )
-    parent.add_argument(
         "--no-state-cache",
         action="store_true",
         help="rescan the TSDB window instead of the aggregate cache",
@@ -604,7 +599,6 @@ def _base_scenario(args: argparse.Namespace) -> Scenario:
         sgx_fraction=args.sgx_fraction,
         seed=args.seed,
         event_driven=args.event_driven,
-        indexed_scheduling=args.indexed,
         use_state_cache=not args.no_state_cache,
         preemption_policy=args.preemption_policy,
         preemption_priority_threshold=args.priority_threshold,

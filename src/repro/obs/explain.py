@@ -150,6 +150,8 @@ def format_explain(report: Dict[str, object]) -> str:
     for placement in report["placements"]:
         runner_ups = placement["runner_ups"]
         if runner_ups is None or runner_ups < 0:
+            # Written by the pre-3.0 indexed pass, which never counted
+            # its candidates.
             against = "via indexed fast path"
         else:
             against = f"against {runner_ups} runner-up candidate(s)"

@@ -52,15 +52,17 @@ LEDGER_SCHEMA = "repro.ledger/v1"
 #: payload fields that kind may carry (beyond the implicit ``t``
 #: sim-time, ``i`` sequence number and ``kind`` discriminator).  Emit
 #: sites must stay inside this table — OBS001 checks statically,
-#: :meth:`DecisionLedger.emit` at run time.  ``runner_ups`` is ``-1``
-#: when a pass ran on an indexed fast path that never materialises the
-#: full candidate list; ``feasibility_checks``/``bound_skips``/
-#: ``score_cutoffs``/``statics_reused`` are ``-1`` on oracle passes
-#: (no :class:`~repro.scheduler.index.SelectionStats` collected).
+#: :meth:`DecisionLedger.emit` at run time.  A ``runner_ups`` of ``-1``
+#: appears only in ledgers written before 3.0 by the removed indexed
+#: pass, which never materialised the full candidate list;
+#: ``repro explain`` still reads them.  ``feasibility_checks``/
+#: ``bound_skips``/``score_cutoffs``/``statics_reused`` were that
+#: pass's selection counters and are always ``-1`` since 3.0.
 LEDGER_EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     #: A scheduling pass started over a non-empty pending snapshot.
     "pass_begin": ("pending",),
-    #: The pass finished: outcome counts plus the selection stats.
+    #: The pass finished: outcome counts plus the (retired) selection
+    #: counters.
     "pass_end": (
         "placed", "deferred", "rejected", "requeued", "killed",
         "evicted", "preemptions", "feasibility_checks", "bound_skips",

@@ -32,7 +32,6 @@ from ..policy.classes import DEFAULT_PREEMPTION_THRESHOLD
 from ..policy.preemption import EvictionCandidate, PreemptionPolicy
 from ..policy.qos import is_evictable_by
 from ..scheduler.base import ClusterStateService, NodeView, Scheduler
-from ..scheduler.index import SelectionStats
 from ..sgx.migration import MigrationManager
 from ..sgx.perf import SgxPerfModel
 from .api import PodSpec
@@ -76,9 +75,6 @@ class PassResult:
     #: :data:`repro.scheduler.base.WAIT_REASONS`.  Pods later placed
     #: by preemption still count: they did fail regular placement.
     wait_reasons: Dict[str, int] = field(default_factory=dict)
-    #: Counters of the indexed candidate selection, when the scheduler
-    #: ran this pass in indexed mode (``None`` for the oracle path).
-    selection: Optional[SelectionStats] = None
 
 
 class Orchestrator:
@@ -354,7 +350,6 @@ class Orchestrator:
         # Rebind every pass: cell schedulers all share this ledger.
         scheduler.ledger = ledger
         outcome = scheduler.schedule(pending, views, now)
-        result.selection = scheduler.last_selection_stats
 
         for pod in outcome.unschedulable:
             if on_unschedulable is not None and on_unschedulable(pod):
@@ -422,7 +417,8 @@ class Orchestrator:
             )
         result.deferred.extend(deferred)
         if ledger.enabled:
-            stats = result.selection
+            # The v1 schema keeps the candidate-selection counters of
+            # pre-3.0 indexed passes; the one full-scan pass has none.
             ledger.emit(
                 now, "pass_end",
                 placed=len(result.launched),
@@ -432,16 +428,10 @@ class Orchestrator:
                 killed=len(result.killed),
                 evicted=len(result.evicted),
                 preemptions=result.preemptions,
-                feasibility_checks=(
-                    stats.feasibility_checks if stats is not None else -1
-                ),
-                bound_skips=stats.bound_skips if stats is not None else -1,
-                score_cutoffs=(
-                    stats.score_cutoffs if stats is not None else -1
-                ),
-                statics_reused=(
-                    stats.statics_reused if stats is not None else -1
-                ),
+                feasibility_checks=-1,
+                bound_skips=-1,
+                score_cutoffs=-1,
+                statics_reused=-1,
             )
         return result
 
@@ -544,11 +534,9 @@ class Orchestrator:
         planner picks the cheapest feasible eviction set; victims are
         killed through the normal kill path, their specs resubmitted
         with the original ``submitted_at``, and the pod is bound and
-        launched *in this same pass*.  The pass's views (and, when the
-        pass ran indexed, the candidate index — O(log n) per update)
-        track every release and reservation, so later preemptors plan
-        against the pass's true in-flight state.  Returns the pods
-        still deferred.
+        launched *in this same pass*.  The pass's views track every
+        release and reservation, so later preemptors plan against the
+        pass's true in-flight state.  Returns the pods still deferred.
         """
         policy = self.preemption_policy
         assert policy is not None
@@ -556,7 +544,6 @@ class Orchestrator:
         spans = self.spans
         span_start = spans.begin()
         views_by_name = {view.name: view for view in views}
-        index = scheduler.last_index
         # Collected on the first pod that reaches the planner: a pass
         # whose deferred pods all sit below the threshold (or behind a
         # strict-FCFS head) never walks the admitted pods.
@@ -610,8 +597,6 @@ class Orchestrator:
                 view.release(
                     candidate.freed, victim.spec.resources.requests
                 )
-                if index is not None:
-                    index.note_released(view)
                 facts[plan.node_name].remove(candidate)
                 result.evicted.append((victim, replacement))
             if not pod.spec.resources.requests.fits_within(view.available):
@@ -622,8 +607,6 @@ class Orchestrator:
             self.queue.remove(pod)
             pod.mark_bound(plan.node_name, now)
             view.reserve(pod.spec.resources.requests)
-            if index is not None:
-                index.note_reserved(view)
             result.preemptions += 1
             admission = self.kubelets[plan.node_name].admit(pod)
             if admission.success:

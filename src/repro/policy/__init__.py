@@ -15,8 +15,8 @@ preempted", made schedulable):
   could not place.
 
 The default policy is ``none``: with it, every replay is bit-for-bit
-identical to the pre-policy orchestrator across the periodic,
-event-driven and indexed engines.
+identical to the pre-policy orchestrator on both the periodic and the
+event-driven engine.
 """
 
 from .classes import (

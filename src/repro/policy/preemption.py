@@ -31,9 +31,9 @@ Three planners ship:
   runtime.
 
 Determinism: every ordering ends in the victim's ``uid`` and every
-node score ends in the node name, so plans are identical across the
-periodic, event-driven and indexed engines — the property the
-equivalence suite pins.
+node score ends in the node name, so plans are identical on the
+periodic and the event-driven engine — the property the equivalence
+suite pins.
 """
 
 from __future__ import annotations

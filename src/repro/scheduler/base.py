@@ -31,7 +31,6 @@ from ..obs.spans import NULL_SPANS
 from ..orchestrator.kubelet import Kubelet
 from ..orchestrator.pod import Pod
 from .filtering import feasible_candidates, prefer_non_sgx
-from .index import NodeCandidateIndex, SelectionStats
 
 logger = logging.getLogger(__name__)
 
@@ -178,7 +177,7 @@ def free_maxima(views: Sequence[NodeView]) -> Tuple[int, int, int]:
 
     Returns ``(cpu, memory, epc)``, each floored at zero exactly like
     :attr:`NodeView.available`, or ``(-1, -1, -1)`` when *views* is
-    empty -- the same answer as the candidate index's group roots.
+    empty (no eligible node).
     """
     if not views:
         return -1, -1, -1
@@ -521,15 +520,6 @@ class Scheduler(abc.ABC):
         The paper's node-preservation rule: standard jobs only land on
         SGX nodes when no other node fits (Section IV).  Exposed as a
         toggle for the ablation benchmark.
-    indexed:
-        When ``True``, the pass batches the pending queue against the
-        incremental :class:`~repro.scheduler.index.NodeCandidateIndex`
-        instead of re-scanning every node for every pod.  Selections
-        are bit-for-bit identical to the default full-scan pass.  The
-        index pays off on wide clusters, where each placement would
-        otherwise scan hundreds of nodes.  On few-node, deep-backlog
-        passes the full scan is faster, because it answers a deferred
-        pod from per-pass free-capacity maxima without any node scan.
     """
 
     name = "abstract"
@@ -537,9 +527,7 @@ class Scheduler(abc.ABC):
     # ``name`` stays a class attribute (strategies override it), so it
     # must not appear in the slot tuple.
     __slots__ = (
-        "use_measured", "strict_fcfs", "preserve_sgx_nodes", "indexed",
-        "_index_statics_cache", "last_selection_stats", "last_index",
-        "ledger",
+        "use_measured", "strict_fcfs", "preserve_sgx_nodes", "ledger",
     )
 
     def __init__(
@@ -547,22 +535,10 @@ class Scheduler(abc.ABC):
         use_measured: bool = True,
         strict_fcfs: bool = False,
         preserve_sgx_nodes: bool = True,
-        indexed: bool = False,
     ):
         self.use_measured = use_measured
         self.strict_fcfs = strict_fcfs
         self.preserve_sgx_nodes = preserve_sgx_nodes
-        self.indexed = indexed
-        #: Membership statics reused across passes until node churn.
-        self._index_statics_cache: Dict = {}
-        #: Counters of the most recent indexed pass (``None`` after an
-        #: oracle pass); the orchestrator copies this into PassResult.
-        self.last_selection_stats: Optional[SelectionStats] = None
-        #: The candidate index of the most recent indexed pass
-        #: (``None`` after an oracle pass).  The orchestrator's
-        #: preemption step keeps it consistent — O(log n) per
-        #: un-placement — while evictions mutate the pass's views.
-        self.last_index: Optional[NodeCandidateIndex] = None
         #: The run's decision ledger.  The orchestrator rebinds this at
         #: the top of every pass (cell schedulers share the cluster's
         #: ledger that way); standalone schedulers keep the null one.
@@ -581,10 +557,6 @@ class Scheduler(abc.ABC):
         any dimension has no candidate, so the pod is deferred without
         a node scan; its reason comes from the same tuple.
         """
-        if self.indexed:
-            return self._schedule_indexed(pending, views, now)
-        self.last_selection_stats = None
-        self.last_index = None
         ledger = self.ledger
         outcome = SchedulingOutcome()
         views = list(views)
@@ -666,118 +638,6 @@ class Scheduler(abc.ABC):
                     runner_ups=len(candidates) - 1,
                 )
         return outcome
-
-    def _schedule_indexed(
-        self, pending: Sequence[Pod], views: Sequence[NodeView], now: float
-    ) -> SchedulingOutcome:
-        """The batched pass: one index, incremental updates per placement.
-
-        Mirrors :meth:`schedule` step for step — same unschedulable
-        test, same deferral semantics (including the strict-FCFS tail),
-        same saturation sanity check, same ``reserve`` mutation order —
-        but answers each step from the candidate index.  For the
-        built-in strategies a ``None`` selection can only mean "no
-        feasible candidate", which is exactly the oracle's
-        empty-candidates branch, so the outcomes coincide bit for bit.
-        """
-        outcome = SchedulingOutcome()
-        ledger = self.ledger
-        views = list(views)
-        if not self.use_measured:
-            for view in views:
-                view.used = view.committed
-        stats = SelectionStats(pods=len(pending))
-        index = NodeCandidateIndex(
-            views, statics_cache=self._index_statics_cache, stats=stats
-        )
-        self.last_selection_stats = stats
-        self.last_index = index
-        for pod in pending:
-            if not index.can_ever_fit(pod):
-                outcome.unschedulable.append(pod)
-                continue
-            had_candidates, chosen = self._select_indexed(pod, index)
-            if not had_candidates:
-                reason = self._wait_reason_indexed(pod, index)
-                outcome.defer(pod, reason)
-                if ledger.enabled:
-                    ledger.emit(now, "deferral", pod=pod.name, reason=reason)
-                if self.strict_fcfs:
-                    remaining = list(pending)
-                    tail = remaining[remaining.index(pod) + 1:]
-                    for blocked in tail:
-                        outcome.defer(blocked, "head_of_line")
-                        if ledger.enabled:
-                            ledger.emit(
-                                now, "deferral",
-                                pod=blocked.name, reason="head_of_line",
-                            )
-                    break
-                continue
-            if chosen is None:
-                reason = self._wait_reason_indexed(pod, index)
-                outcome.defer(pod, reason)
-                if ledger.enabled:
-                    ledger.emit(now, "deferral", pod=pod.name, reason=reason)
-                continue
-            if not pod.spec.resources.requests.fits_within(chosen.available):
-                raise SchedulingError(
-                    f"{self.name} selected saturated node {chosen.name} "
-                    f"for pod {pod.name}"
-                )
-            chosen.reserve(pod.spec.resources.requests)
-            index.note_reserved(chosen)
-            stats.placements += 1
-            outcome.assignments.append(
-                Assignment(pod=pod, node_name=chosen.name)
-            )
-            if ledger.enabled:
-                # The indexed fast paths never materialise the full
-                # candidate list; -1 marks the count as unavailable.
-                ledger.emit(
-                    now, "placement",
-                    pod=pod.name, node=chosen.name, runner_ups=-1,
-                )
-        stats.wait_reasons = dict(outcome.wait_reasons)
-        return outcome
-
-    # -- deferral classification (observability, both paths) -------------
-    #
-    # Both passes classify a deferral with :func:`classify_wait` over the
-    # free maxima of the pod's eligible nodes: the full scan from its
-    # lazy per-pass :func:`free_maxima` tuples, the indexed pass from its
-    # tree roots.  Each is O(1) per deferral once its maxima are known.
-
-    @staticmethod
-    def _wait_reason_indexed(pod: Pod, index: NodeCandidateIndex) -> str:
-        """Indexed-path deferral reason, O(1) from the tree roots.
-
-        A group root holds the component-wise maxima of its members'
-        availability, which is exactly what the oracle's scan
-        computes — the two paths classify identically by construction.
-        """
-        cpu_max, memory_max, epc_max = index.availability_maxima(pod)
-        return classify_wait(
-            pod.spec.resources.requests, cpu_max, memory_max, epc_max
-        )
-
-    def _select_indexed(
-        self, pod: Pod, index: NodeCandidateIndex
-    ) -> Tuple[bool, Optional[NodeView]]:
-        """Indexed-path selection; strategies override for fast paths.
-
-        Returns ``(had_candidates, chosen)``.  This default reproduces
-        the oracle literally — materialise the candidate list (same
-        membership, same input order) and delegate to :meth:`_select` —
-        so any subclass is indexed-correct without opting in to a
-        strategy-specific walk.
-        """
-        candidates = index.candidates(
-            pod, self.preserve_sgx_nodes, in_input_order=True
-        )
-        if not candidates:
-            return False, None
-        return True, self._select(pod, candidates, index.views)
 
     @abc.abstractmethod
     def _select(

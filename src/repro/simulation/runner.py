@@ -29,12 +29,10 @@ periodic oracle (same bindings, same timestamps, same makespan) while
 executing a fraction of its scheduling passes.  The default,
 ``event_driven=False``, is the paper's Sec. IV behaviour unchanged.
 
-**Indexed scheduling** (``Scenario(indexed_scheduling=True)``):
-inside each executed pass, the scheduler consults the incremental
-:class:`~repro.scheduler.index.NodeCandidateIndex` instead of scanning
-every node for every pod — same outcomes bit for bit, O(pods × nodes)
-work removed from the pass itself.  Composes freely with
-``event_driven`` (fewer passes × cheaper passes).
+Each executed pass is the scheduler's single FCFS full scan
+(:meth:`~repro.scheduler.base.Scheduler.schedule`); deferred pods are
+answered from per-pass free-capacity maxima, so a backed-up queue
+costs no node scan per waiting pod.
 """
 
 from __future__ import annotations
@@ -122,7 +120,6 @@ def make_scheduler(scenario: Scenario) -> Scheduler:
         use_measured=scenario.use_measured,
         strict_fcfs=scenario.strict_fcfs,
         preserve_sgx_nodes=scenario.preserve_sgx_nodes,
-        indexed=scenario.indexed_scheduling,
         **dict(scenario.scheduler_options),
     )
 
@@ -231,6 +228,15 @@ class _Replay:
         if scenario.sgx_workers is not None:
             cluster_kwargs["sgx_workers"] = scenario.sgx_workers
         self.cluster = paper_cluster(**cluster_kwargs)
+        # Die before the run, not when simulated time reaches a crash
+        # of a node the cluster never had.
+        known = [node.name for node in self.cluster.nodes]
+        for _, node_name in scenario.node_failures:
+            if node_name not in known:
+                raise SimulationError(
+                    f"node_failures names unknown node {node_name!r}; "
+                    f"known: {', '.join(known)}"
+                )
         self.perf = SgxPerfModel()
         self.obs = build_observer(scenario)
         self.orchestrator = self._make_orchestrator()

@@ -57,11 +57,49 @@ class TestValidation:
             {"requeue_backoff_seconds": math.inf},
             {"rebalance_period": math.nan},
             {"rebalance_period": math.inf},
+            {"standard_workers": 2.5},
+            {"sgx_workers": math.nan},
+            {"standard_workers": True},
+            {"sgx_workers": "2"},
         ],
     )
     def test_out_of_range_knobs(self, kwargs):
         with pytest.raises(SimulationError):
             Scenario(**kwargs)
+
+    @pytest.mark.parametrize(
+        "crash_time", [math.nan, math.inf, -1.0, True, "5"]
+    )
+    def test_node_failure_time_must_be_finite_and_non_negative(
+        self, crash_time
+    ):
+        with pytest.raises(SimulationError, match="node_failures times"):
+            Scenario(node_failures=((crash_time, "worker-0"),))
+
+    def test_node_failure_name_must_be_a_string(self):
+        with pytest.raises(SimulationError, match="node names must be str"):
+            Scenario(node_failures=((5.0, 0),))
+
+    def test_node_failure_entry_must_be_a_pair(self):
+        with pytest.raises(SimulationError, match="pairs"):
+            Scenario(node_failures=((5.0, "worker-0", "extra"),))
+
+    def test_unknown_node_failure_dies_before_the_run(self):
+        # The crash lies past the hard stop: only an up-front check can
+        # see the name at all.
+        scenario = Scenario(
+            trace="borg-synth:seed=7,jobs=5",
+            node_failures=((1e9, "sgx-0"),),
+        )
+        with pytest.raises(SimulationError) as excinfo:
+            scenario.run()
+        message = str(excinfo.value)
+        assert "unknown node 'sgx-0'" in message
+        assert "sgx-worker-0" in message
+
+    def test_removed_indexed_knob_is_an_ordinary_type_error(self):
+        with pytest.raises(TypeError, match="indexed_scheduling"):
+            Scenario(indexed_scheduling=True)
 
     def test_plugin_without_standard_knobs_dies_at_build(self):
         from repro.registry import SCHEDULERS, register_scheduler
@@ -141,11 +179,11 @@ class TestDerived:
             BinpackScheduler,
         )
         spread = Scenario(
-            scheduler="spread", indexed_scheduling=True, strict_fcfs=True
+            scheduler="spread", strict_fcfs=True, preserve_sgx_nodes=False
         ).build_scheduler()
         assert isinstance(spread, SpreadScheduler)
-        assert spread.indexed is True
         assert spread.strict_fcfs is True
+        assert spread.preserve_sgx_nodes is False
 
     def test_build_trace_scales_overallocators(self):
         trace = Scenario(trace="borg-synth:seed=7,jobs=60").build_trace()

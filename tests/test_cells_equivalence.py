@@ -3,8 +3,8 @@
 Hypothesis-checked on random bursty traces: a ``cells=1`` scenario —
 which runs the *full* sharded machinery (sharded engine, cell router,
 dispatcher) — produces a whole-run :meth:`RunResult.signature`
-bit-for-bit identical to a scenario that never mentions cells, across
-the periodic, event-driven and indexed engines and every partition
+bit-for-bit identical to a scenario that never mentions cells, on
+both the periodic and the event-driven engine and every partition
 policy.  Multi-cell runs cannot match the oracle (passes interleave
 differently) but must be deterministic and complete the workload.
 """
@@ -48,12 +48,7 @@ def test_one_cell_is_bit_for_bit_the_oracle(
         trace=trace, sgx_fraction=sgx_fraction, seed=seed
     )
     sharded = flat.with_(cells=1, cell_policy=policy)
-    for toggle in (
-        {},
-        {"event_driven": True},
-        {"indexed_scheduling": True},
-        {"event_driven": True, "indexed_scheduling": True},
-    ):
+    for toggle in ({}, {"event_driven": True}):
         oracle = flat.with_(**toggle).run()
         result = sharded.with_(**toggle).run()
         assert result.signature() == oracle.signature()
@@ -101,9 +96,5 @@ def test_multi_cell_engine_toggles_are_deterministic(gen_seed, seed):
         standard_workers=3,
         sgx_workers=3,
     )
-    for toggle in (
-        {"event_driven": True},
-        {"indexed_scheduling": True},
-    ):
-        scenario = base.with_(**toggle)
-        assert scenario.run().signature() == scenario.run().signature()
+    scenario = base.with_(event_driven=True)
+    assert scenario.run().signature() == scenario.run().signature()

@@ -5,8 +5,8 @@ traces:
 
 * **observed == unobserved** — turning the decision ledger on changes
   nothing: whole-replay signatures are bit-for-bit identical with and
-  without a ledger, across the periodic, event-driven, indexed and
-  sharded (cells) engines, with preemption on and off.
+  without a ledger, across the periodic, event-driven and sharded
+  (cells) engines, with preemption on and off.
 * **cells=1 == flat, decision for decision** — the sharded runner at
   one cell emits the *identical* event stream the flat oracle emits
   (:func:`repro.obs.diff.diff_ledgers` reports zero divergences), not
@@ -70,7 +70,7 @@ def record(scenario, directory, name):
     n_jobs=st.integers(min_value=10, max_value=30),
     sgx_fraction=st.sampled_from([0.5, 1.0]),
     engine=st.sampled_from(
-        ["periodic", "event", "indexed", "cells", "preempting"]
+        ["periodic", "event", "cells", "preempting"]
     ),
 )
 @replay_settings
@@ -80,7 +80,6 @@ def test_observation_never_changes_the_run(
     toggles = {
         "periodic": {},
         "event": {"event_driven": True},
-        "indexed": {"indexed_scheduling": True},
         "cells": {"cells": 2},
         "preempting": {
             "epc_total_bytes": mib(64),
