@@ -192,6 +192,15 @@ def run(sizes=(250, 1000, 2000), repeats=9) -> dict:
     }
 
 
+def environment() -> dict:
+    """Where a sweep ran; stamped into every report that times replays."""
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
 #: Reconcile interval of the sweep: a production control plane reacts
 #: within ~a second, not the paper testbed's relaxed default — and the
 #: tighter the loop, the more of its wake-ups find nothing changed,
@@ -259,6 +268,8 @@ def run_event_sched(sizes=(250, 1000, 2000)) -> dict:
         )
     return {
         "benchmark": "event_sched",
+        "timing": "one replay per engine, one process",
+        "environment": environment(),
         "sgx_fraction": SGX_FRACTION,
         "scheduler_period_seconds": EVENT_SCHED_PERIOD_SECONDS,
         "results": results,
@@ -396,11 +407,7 @@ def run_sched_scale(points=SCHED_SCALE_POINTS) -> dict:
     return {
         "benchmark": "sched_scale",
         "timing": "median of the row's repeats, one process",
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "environment": environment(),
         "sgx_fraction": SGX_FRACTION,
         "sgx_node_fraction": round(1 / SCHED_SCALE_SGX_STRIDE, 4),
         "results": results,
@@ -778,6 +785,8 @@ def run_wall(sizes=(250, 1000, 2000), repeats=1) -> dict:
         results.append(row)
     return {
         "benchmark": "wall",
+        "timing": f"best of {repeats} per engine, one process",
+        "environment": environment(),
         "sgx_fraction": SGX_FRACTION,
         "scheduler_period_seconds": EVENT_SCHED_PERIOD_SECONDS,
         "baseline": "pre-refactor seed (see WALL_BASELINES)",

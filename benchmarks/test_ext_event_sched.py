@@ -13,6 +13,7 @@ class TestEventSchedBench:
     def test_tiny_sweep_runs(self):
         report = run_event_sched(sizes=(40,))
         assert report["benchmark"] == "event_sched"
+        assert set(report["environment"]) == {"python", "machine", "cpus"}
         (row,) = report["results"]
         assert row["pods"] == 40
         assert row["bit_for_bit_identical"] is True

@@ -14,6 +14,7 @@ class TestWallBench:
     def test_tiny_sweep_runs(self):
         report = run_wall(sizes=(40,))
         assert report["benchmark"] == "wall"
+        assert set(report["environment"]) == {"python", "machine", "cpus"}
         (row,) = report["results"]
         assert row["pods"] == 40
         assert row["engines_identical"] is True

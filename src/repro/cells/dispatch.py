@@ -24,6 +24,7 @@ when no cell can host it, exactly like the flat oracle).
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster.node import Node
@@ -110,9 +111,12 @@ class GlobalDispatcher:
 
         *kubelets* must be the orchestrator's own dict (mutated in
         place on churn), so the dispatcher always scores live nodes.
+        The queue is held through a weak proxy: it holds the
+        dispatcher as its router, and the pair must not form a
+        reference cycle.
         """
         self._kubelets = kubelets
-        self._queue = queue
+        self._queue = weakref.proxy(queue)
         for cell in self.cells:
             cell.rebuild_classes(nodes)
 

@@ -35,6 +35,8 @@ class CellQueueRouter:
 
     __slots__ = (
         "requeue_backoff_seconds", "_queues", "_cell_of", "_router",
+        # The dispatcher refers back to its queue weakly.
+        "__weakref__",
     )
 
     def __init__(

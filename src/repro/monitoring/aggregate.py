@@ -33,6 +33,7 @@ takes either path, so the replay hot loop stays incremental.
 from __future__ import annotations
 
 import logging
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -136,7 +137,10 @@ class WindowedAggregateCache:
             raise MonitoringError(
                 f"window must be positive, got {window_seconds}"
             )
-        self.db = db
+        # A weak proxy: the database holds the cache (its subscriber
+        # list and ``aggregate_cache``), and a strong back-reference
+        # would leave the pair for the cyclic GC to free.
+        self.db = weakref.proxy(db)
         self.window_seconds = window_seconds
         self._measurements: Dict[str, _MeasurementState] = {}
         self._seq = 0

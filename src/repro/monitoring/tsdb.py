@@ -134,6 +134,8 @@ class TimeSeriesDatabase:
     __slots__ = (
         "retention_seconds", "_series", "_writes", "_subscribers",
         "scan_count", "aggregate_cache",
+        # The aggregate cache refers back to its database weakly.
+        "__weakref__",
     )
 
     def __init__(self, retention_seconds: Optional[float] = None):

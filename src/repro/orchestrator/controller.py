@@ -17,6 +17,7 @@ The orchestrator itself is clock-free: every method takes ``now``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.resources import ResourceVector
@@ -75,6 +76,28 @@ class PassResult:
     #: :data:`repro.scheduler.base.WAIT_REASONS`.  Pods later placed
     #: by preemption still count: they did fail regular placement.
     wait_reasons: Dict[str, int] = field(default_factory=dict)
+
+
+def _make_probe(
+    db: TimeSeriesDatabase, kubelet: Kubelet
+) -> SgxMetricsProbe:
+    """The probe DaemonSet's factory: one probe per SGX node.
+
+    A function of the database, not a bound method: the DaemonSet
+    controller keeps its factory, and a factory holding the
+    orchestrator would make the two a reference cycle.
+    """
+    driver = kubelet.node.driver
+    if driver is None:
+        raise OrchestrationError(
+            f"probe requested for non-SGX node {kubelet.node.name}"
+        )
+    return SgxMetricsProbe(
+        node_name=kubelet.node.name,
+        driver=driver,
+        db=db,
+        pod_name_resolver=kubelet.resolve_pod_name,
+    )
 
 
 class Orchestrator:
@@ -158,7 +181,7 @@ class Orchestrator:
         self.daemonsets.create(
             PROBE_DAEMONSET,
             selector=sgx_node_selector,
-            factory=self._make_probe,
+            factory=partial(_make_probe, self.db),
         )
         self.daemonsets.reconcile(self.kubelets.values())
 
@@ -189,19 +212,6 @@ class Orchestrator:
         #: timer (the periodic mode simply never consults it).
         self.trigger = SchedulingTrigger()
         self.trigger.ledger = self.ledger
-
-    def _make_probe(self, kubelet: Kubelet) -> SgxMetricsProbe:
-        driver = kubelet.node.driver
-        if driver is None:
-            raise OrchestrationError(
-                f"probe requested for non-SGX node {kubelet.node.name}"
-            )
-        return SgxMetricsProbe(
-            node_name=kubelet.node.name,
-            driver=driver,
-            db=self.db,
-            pod_name_resolver=kubelet.resolve_pod_name,
-        )
 
     # -- node lifecycle (Sec. V-C: probes follow nodes automatically) ----
 

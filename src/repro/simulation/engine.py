@@ -158,9 +158,8 @@ class SimulationEngine:
         """Cancel *handle* (when live) and schedule *action* after *delay*.
 
         Fuses ``handle.cancel()`` + :meth:`schedule_in` into one call —
-        the replay refreshes every running job's finish event on each
-        occupancy change, making this the engine's hottest entry point.
-        Timestamps, sequence numbers and compaction behaviour are
+        the replay moves a running job's finish event this way whenever
+        the job's paging rate changes.  Timestamps, sequence numbers and compaction behaviour are
         exactly those of the unfused pair; a live cancel nets out
         against the new event in the pending count.
         """

@@ -12,17 +12,25 @@ plugins, probes, driver — with a deterministic event loop:
   stretched by the EPC paging slowdown while their node is over-
   committed (only possible when limit enforcement is off, Fig. 11).
 
-The progress of a running enclave job is tracked as *remaining work*:
-whenever a node's EPC occupancy changes, work done so far is banked at
-the old rate and the finish event is rescheduled at the new rate.
+The progress of a running job is tracked as *remaining work* done at a
+*rate*, the inverse of its node's EPC paging slowdown.  A job's finish
+time can move only when that rate moves, so work is banked, and the
+finish event re-armed, only for a job whose node slowdown differs from
+the one its event was armed at.  The replay re-checks the SGX nodes'
+slowdowns after every scheduler tick, start, completion, migration and
+crash; a check that finds a node's rate unchanged costs one slowdown
+lookup and touches none of its jobs.  Banking at one constant rate is
+additive, so this equals banking on every tick up to float rounding:
+against eager per-tick banking (kept as the oracle in
+``tests/test_lazy_progress.py``) pod lifecycles differ only in
+``finished_at``, by far less than a nanosecond.
 
 **Event-driven scheduling** (``Scenario(event_driven=True)``): the
-scheduler wakes on the same periodic grid — the grid doubles as the
-min-interval guard and, crucially, keeps the progress-banking float
-arithmetic on the identical cadence — but each wake-up consults the
-orchestrator's :class:`~repro.orchestrator.triggers.SchedulingTrigger`
-and the state-service fingerprint, and *skips* the pass when no cluster
-event fired and the measured view is provably unchanged: the pass would
+scheduler wakes on the same periodic grid, which doubles as the
+min-interval guard, but each wake-up consults the orchestrator's
+:class:`~repro.orchestrator.triggers.SchedulingTrigger` and the
+state-service fingerprint, and *skips* the pass when no cluster event
+fired and the measured view is provably unchanged: the pass would
 recompute the previous all-deferred outcome.  Because only provable
 no-ops are skipped, event-driven replay is bit-for-bit identical to the
 periodic oracle (same bindings, same timestamps, same makespan) while
@@ -159,6 +167,11 @@ def resolve_workload_priorities(
     return resolved
 
 
+#: ``_RunningJob.armed_slowdown`` of a job whose finish event must be
+#: (re-)armed at the next check; paging slowdowns are always >= 1.
+UNARMED = 0.0
+
+
 class _RunningJob:
     """Progress tracking for one started pod.
 
@@ -169,6 +182,12 @@ class _RunningJob:
     is resolved once at start: the spec never changes afterwards, and
     the paging-slowdown loop is too hot for two attribute hops per job
     per tick.
+
+    ``remaining_work`` is current as of ``last_update``; in between,
+    the job progresses at ``rate``.  ``armed_slowdown`` is the node
+    slowdown the finish event was armed at, :data:`UNARMED` before the
+    first arm and whenever the finish time moved for another reason
+    (an early finish, a migration).
     """
 
     __slots__ = (
@@ -177,6 +196,7 @@ class _RunningJob:
         "remaining_work",
         "last_update",
         "rate",
+        "armed_slowdown",
         "finish_handle",
         "finish_action",
         "seq",
@@ -189,6 +209,7 @@ class _RunningJob:
         self.remaining_work = work_seconds
         self.last_update = 0.0
         self.rate = 1.0
+        self.armed_slowdown = UNARMED
         self.finish_handle: Optional[EventHandle] = None
         #: The finish callback, built once at start — every occupancy
         #: change re-schedules it, and a fresh closure per reschedule
@@ -197,6 +218,16 @@ class _RunningJob:
         self.seq = 0
         workload = pod.spec.workload
         self.uses_epc = workload is not None and workload.uses_sgx
+
+    def bank(self, now: float) -> None:
+        """Bank the work done at ``rate`` since ``last_update``."""
+        elapsed = now - self.last_update
+        # Engine time is monotone, so elapsed == 0 makes both the work
+        # update and the timestamp write no-ops: skip them.
+        if elapsed > 0.0:
+            work = self.remaining_work - elapsed * self.rate
+            self.remaining_work = work if work > 0.0 else 0.0
+            self.last_update = now
 
 
 class _Replay:
@@ -371,29 +402,20 @@ class _Replay:
 
     def _scheduler_tick(self) -> None:
         now = self.engine.now
-        # Bank progress at current rates before occupancy changes.
-        self._sync_all_nodes(now)
         if self.scenario.event_driven and self._pass_skippable(now):
-            # Skip the pass, not the wake-up: progress banking and
-            # finish-event refresh stay on the periodic cadence so the
-            # float arithmetic (and hence every timestamp) matches the
-            # periodic oracle bit-for-bit.  The queue is sampled too —
-            # a skipped pass leaves it untouched, so the sample equals
-            # the one the oracle records and Fig. 7's series match.
+            # Skip the pass, not the wake-up: the queue is still
+            # sampled, because a skipped pass leaves it untouched, so
+            # the sample equals the one the periodic oracle records and
+            # Fig. 7's series match.
             self.passes_skipped += 1
             self.log.record(now, EventKind.PASS_SKIPPED)
             ledger = self.obs.ledger
             if ledger.enabled:
                 ledger.emit(now, "pass_skipped")
-            self._reschedule_all_nodes(now)
-            self._sample_queue(now)
-            if self._active():
-                self.engine.schedule_in(
-                    self.scenario.scheduler_period, self._scheduler_tick
-                )
-            return
-        self._execute_pass(now)
-        # Admissions changed EPC occupancy; refresh running-job rates.
+        else:
+            self._execute_pass(now)
+        # Admissions and evictions change EPC occupancy; re-arm the
+        # jobs whose paging rate moved.
         self._reschedule_all_nodes(now)
         self._sample_queue(now)
         if self._active():
@@ -484,9 +506,6 @@ class _Replay:
             return  # killed between bind and start
         self.orchestrator.start_pod(pod, now)
         assert pod.spec.workload is not None and pod.node_name is not None
-        # Bank progress of already-running jobs on this node before the
-        # reschedule below recomputes their finish events.
-        self._sync_node(pod.node_name, now)
         job = _RunningJob(
             pod, pod.node_name, pod.spec.workload.duration_seconds
         )
@@ -504,8 +523,6 @@ class _Replay:
     def _rebalance_tick(self) -> None:
         now = self.engine.now
         assert self.rebalancer is not None
-        # Bank progress before occupancy moves between nodes.
-        self._sync_all_nodes(now)
         spans = self.obs.spans
         span_start = spans.begin()
         report = self.rebalancer.rebalance(now)
@@ -521,10 +538,14 @@ class _Replay:
                 None,
             )
             if job is not None:
+                job.bank(now)
                 self._move_job(job, action.target_node)
                 # Downtime pauses the workload: account it as extra
-                # work at the current rate.
+                # work at the current rate.  The finish time moved (and,
+                # sharded, must move to the target cell's queue) even if
+                # the slowdown did not: force a re-arm.
                 job.remaining_work += action.downtime_seconds * job.rate
+                job.armed_slowdown = UNARMED
             self.log.record(
                 now,
                 EventKind.SLOWDOWN_CHANGED,
@@ -568,8 +589,7 @@ class _Replay:
 
     def _crash_node(self, node_name: str) -> None:
         now = self.engine.now
-        # Bank progress everywhere; the crashed node's jobs are lost.
-        self._sync_all_nodes(now)
+        # The crashed node's jobs are lost with their progress.
         for job in self._jobs_on(node_name):
             if job.finish_handle is not None:
                 job.finish_handle.cancel()
@@ -593,9 +613,10 @@ class _Replay:
 
     def _finish(self, job: _RunningJob) -> None:
         now = self.engine.now
-        self._sync_node(job.node_name, now)
+        job.bank(now)
         if job.remaining_work > 1e-6:
-            # Slowed down since this event was scheduled; reschedule.
+            # Fired early: re-arm for the work that is left.
+            job.armed_slowdown = UNARMED
             self._reschedule_node(job.node_name, now)
             return
         self._drop_job(job)
@@ -623,6 +644,9 @@ class _Replay:
 
     def _drop_job(self, job: _RunningJob) -> None:
         """Remove a job from both registries (finish/evict/crash/loss)."""
+        # The finish closure refers back to the job: break the cycle so
+        # reference counting alone frees a finished replay.
+        job.finish_action = None
         del self.running[job.pod.uid]
         node_jobs = self._node_jobs.get(job.node_name)
         if node_jobs is not None:
@@ -649,22 +673,13 @@ class _Replay:
             for entry in ordered:
                 target_jobs[entry.pod.uid] = entry
 
-    def _sync_node(self, node_name: str, now: float) -> None:
-        """Bank work done at the rates in effect since the last sync."""
-        jobs = self._node_jobs.get(node_name)
-        if not jobs:
-            return
-        for job in jobs.values():
-            elapsed = now - job.last_update
-            # Engine time is monotone, so elapsed == 0 makes both the
-            # work update and the timestamp write no-ops: skip them.
-            if elapsed > 0.0:
-                work = job.remaining_work - elapsed * job.rate
-                job.remaining_work = work if work > 0.0 else 0.0
-                job.last_update = now
-
     def _reschedule_node(self, node_name: str, now: float) -> None:
-        """Recompute rates and finish events after an occupancy change."""
+        """Re-arm the node's jobs whose paging rate moved.
+
+        A job armed at the node's current slowdown is left alone: its
+        finish event is still exact.  Any other job banks its work at
+        the old rate, takes the new one and is re-armed.
+        """
         jobs = self._node_jobs.get(node_name)
         if not jobs:
             return
@@ -672,7 +687,6 @@ class _Replay:
         # occupancy, constant across this loop: compute it once for
         # the node (lazily — nodes with no enclave jobs never look).
         epc_slowdown = -1.0
-        reschedule_in = self.engine.reschedule_in
         for job in jobs.values():
             if job.uses_epc:
                 if epc_slowdown < 0.0:
@@ -680,16 +694,22 @@ class _Replay:
                 slowdown = epc_slowdown
             else:
                 slowdown = 1.0
+            if slowdown == job.armed_slowdown:
+                continue
+            job.bank(now)
             job.rate = 1.0 / slowdown
-            job.finish_handle = reschedule_in(
-                job.finish_handle,
-                job.remaining_work * slowdown,
-                job.finish_action,
-            )
+            job.armed_slowdown = slowdown
+            self._rearm(job, job.remaining_work * slowdown)
 
-    def _sync_all_nodes(self, now: float) -> None:
-        for node_name in self._sgx_node_names:
-            self._sync_node(node_name, now)
+    def _rearm(self, job: _RunningJob, delay: float) -> None:
+        """Move *job*'s finish event to *delay* seconds from now.
+
+        The sharded runner overrides this to land the event in the
+        job's cell queue.
+        """
+        job.finish_handle = self.engine.reschedule_in(
+            job.finish_handle, delay, job.finish_action
+        )
 
     def _reschedule_all_nodes(self, now: float) -> None:
         for node_name in self._sgx_node_names:
